@@ -50,7 +50,6 @@ BULLET_SCENARIO(fig22_correlated_failures,
   params.deadline = cfg.deadline;
   params.record_arrivals = cfg.record_arrivals;
   params.full_recompute_allocator = cfg.full_recompute_allocator;
-  params.skip_idle_ticks = cfg.skip_idle_ticks;
   params.quantum = cfg.quantum;
 
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);

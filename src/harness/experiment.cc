@@ -9,8 +9,6 @@ Experiment::Experiment(std::unique_ptr<Topology> topology, const ExperimentParam
   wl_params.quantum = params.quantum;
   wl_params.deadline = params.deadline;
   wl_params.record_arrivals = params.record_arrivals;
-  wl_params.full_recompute_allocator = params.full_recompute_allocator;
-  wl_params.skip_idle_ticks = params.skip_idle_ticks;
   workload_ = std::make_unique<WorkloadExperiment>(std::move(topology), wl_params);
 
   SessionSpec session;

@@ -37,13 +37,6 @@ struct ExperimentParams {
   SimTime quantum = MsToSim(10);
   SimTime deadline = SecToSim(3600.0);
   bool record_arrivals = false;
-  // Run the network's pre-PR tick loop (full flow rebuild + water-fill every
-  // quantum) instead of the incremental allocator. A/B reference for the
-  // perf_core_scale benchmark and the determinism tests.
-  bool full_recompute_allocator = false;
-  // Elide idle tick events entirely (see NetworkConfig::skip_idle_ticks; not
-  // bit-reproducible against the default mode).
-  bool skip_idle_ticks = false;
 };
 
 class Experiment {

@@ -348,29 +348,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
            json->Field("threads", *opts.threads);
          }
        }},
-      {"--compress-routes", "compress-routes", "compress_routes",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--compress-routes requires 0 or 1", "compress-routes values must be 0 or 1",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || (v != 0 && v != 1)) {
-           return false;
-         }
-         opts->compress_routes = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return v == 0.0 || v == 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->compress_routes = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.compress_routes) {
-           cfg->compress_routes = *opts.compress_routes != 0;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.compress_routes) {
-           json->Field("compress_routes", *opts.compress_routes);
-         }
-       }},
       {"--aggregate-flows", "aggregate-flows", "aggregate_flows",
        ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--aggregate-flows requires 0 or 1", "aggregate-flows values must be 0 or 1",

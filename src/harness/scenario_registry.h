@@ -55,10 +55,7 @@ struct ScenarioOptions {
   // parallel engine and are only valid with a transit-stub topology; the
   // runner validates the combination up front (exit-2 usage error).
   std::optional<int> threads;
-  // Mega-swarm scale knobs, 0/1 (--compress-routes / --aggregate-flows; see
-  // ScenarioConfig). Scenarios on non-transit-stub topologies ignore
-  // compress_routes like any other inapplicable override.
-  std::optional<int> compress_routes;
+  // Mega-swarm scale knob, 0/1 (--aggregate-flows; see ScenarioConfig).
   std::optional<int> aggregate_flows;
 };
 

@@ -340,10 +340,6 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --threads N        engine worker threads; > 1 runs the partitioned\n"
         "                     parallel engine (transit-stub topologies only;\n"
         "                     1 is bit-identical to the serial engine)\n"
-        "  --compress-routes B\n"
-        "                     1 caches shared gateway-to-gateway route segments\n"
-        "                     and composes per-pair routes lazily (transit-stub\n"
-        "                     only; composed routes are bitwise-identical)\n"
         "  --aggregate-flows B\n"
         "                     1 water-fills bundles of flows sharing an interior\n"
         "                     route instead of individual flows (mega-swarm\n"
@@ -363,7 +359,7 @@ void PrintRunnerUsage(std::ostream& os) {
         "                     deadline-sec, loss, join-fraction,\n"
         "                     lifetime-pareto-alpha, churn-model,\n"
         "                     stream-bitrate-mbps, stream-window-blocks,\n"
-        "                     threads, compress-routes, aggregate-flows);\n"
+        "                     threads, aggregate-flows);\n"
         "                     repeat the flag for more axes\n"
         "  --sweep-file PATH  spec file (scenario/name/repeats/seed/set/sweep lines);\n"
         "                     command-line flags override file directives\n"
@@ -448,9 +444,6 @@ bool BuildSweepSpec(const RunnerArgs& args, SweepSpec* spec, std::string* error)
   }
   if (o.threads) {
     spec->base.threads = o.threads;
-  }
-  if (o.compress_routes) {
-    spec->base.compress_routes = o.compress_routes;
   }
   if (o.aggregate_flows) {
     spec->base.aggregate_flows = o.aggregate_flows;

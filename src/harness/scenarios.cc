@@ -45,11 +45,7 @@ std::unique_ptr<Topology> BuildScenarioTopology(const ScenarioConfig& cfg) {
       params.num_nodes = cfg.num_nodes;
       params.transit_loss_min = cfg.loss_min;
       params.transit_loss_max = cfg.loss_max;
-      auto topo = std::make_unique<RoutedTopology>(RoutedTopology::TransitStub(params, rng));
-      if (cfg.compress_routes) {
-        topo->EnableSegmentCompression();
-      }
-      return topo;
+      return std::make_unique<RoutedTopology>(RoutedTopology::TransitStub(params, rng));
     }
   }
   MeshTopology::MeshParams mesh;
@@ -76,7 +72,6 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
   params.deadline = cfg.deadline;
   params.record_arrivals = cfg.record_arrivals;
   params.full_recompute_allocator = cfg.full_recompute_allocator;
-  params.skip_idle_ticks = cfg.skip_idle_ticks;
   params.quantum = cfg.quantum;
   params.num_threads = cfg.num_threads;
   params.aggregate_flows = cfg.aggregate_flows;

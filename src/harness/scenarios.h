@@ -43,10 +43,6 @@ struct ScenarioConfig {
   // Pre-PR network tick loop (full allocator recompute every quantum); used by
   // perf_core_scale to benchmark against the incremental default.
   bool full_recompute_allocator = false;
-  // Elide idle tick events entirely (NetworkConfig::skip_idle_ticks): fastest
-  // for workloads with long quiet phases, but not bit-reproducible against the
-  // default mode, so no fig scenario sets it.
-  bool skip_idle_ticks = false;
   // Rate-allocation quantum. The paper's emulator uses 10 ms; perf_core_scale
   // runs finer-grained emulation, where the event-driven core's advantage grows
   // (its allocation count tracks flow churn, not tick rate).
@@ -79,13 +75,9 @@ struct ScenarioConfig {
   // CLI validates before the run so a mesh request is a usage error, not a
   // serial fallback surprise). 1 is bit-identical to the serial engine.
   int num_threads = 1;
-  // Mega-swarm scale knobs (fig24; --compress-routes / --aggregate-flows).
-  // compress_routes caches gateway-to-gateway interior segments once and
-  // composes per-pair routes lazily (transit-stub only; composed routes are
-  // bitwise-identical to the direct computation, so any scenario may enable
-  // it). aggregate_flows water-fills bundles of flows sharing an interior
-  // route instead of individual flows — NOT bit-identical, opt-in only.
-  bool compress_routes = false;
+  // Mega-swarm scale knob (fig24; --aggregate-flows): water-fill bundles of
+  // flows sharing an interior route instead of individual flows — NOT
+  // bit-identical, opt-in only.
   bool aggregate_flows = false;
 };
 

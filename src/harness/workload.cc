@@ -46,7 +46,6 @@ WorkloadExperiment::WorkloadExperiment(std::unique_ptr<Topology> topology,
   net_config.allocator_mode = params.full_recompute_allocator
                                   ? NetworkConfig::AllocatorMode::kFullRecompute
                                   : NetworkConfig::AllocatorMode::kIncremental;
-  net_config.skip_idle_ticks = params.skip_idle_ticks;
   net_config.num_threads = params.num_threads;
   net_config.aggregate_flows = params.aggregate_flows;
   net_ = std::make_unique<Network>(std::move(topology), net_config, params.seed ^ 0x9e3779b9ULL);

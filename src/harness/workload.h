@@ -52,8 +52,10 @@ struct WorkloadParams {
   SimTime quantum = MsToSim(10);
   SimTime deadline = SecToSim(3600.0);
   bool record_arrivals = false;
+  // Run the network's pre-PR tick loop (full flow rebuild + water-fill every
+  // quantum) instead of the incremental allocator. A/B reference for the
+  // perf_core_scale benchmark and the determinism tests.
   bool full_recompute_allocator = false;
-  bool skip_idle_ticks = false;
   // > 1 requests the partitioned parallel engine (NetworkConfig::num_threads);
   // effective only on transit-stub routed topologies in the incremental
   // allocator mode, serial fallback otherwise. 1 is bit-identical to the

@@ -231,7 +231,6 @@ void Network::CloseAt(ConnId conn_id, SimTime at) {
   // change max-min tie-breaking; see RebuildAndAllocate).
   ++pending_close_;
   alloc_dirty_ = true;
-  WakeTicksIfPaused();
   // Notify both ends asynchronously; the remote end hears after one path delay.
   // CloseAt runs only in coordinator context, so the topology query is safe.
   for (int i = 0; i < 2; ++i) {
@@ -305,7 +304,6 @@ void Network::ActivateDirection(Conn& c, int dir_idx) {
   BusyByte(c) |= static_cast<uint8_t>(1 << dir_idx);
   ++active_dirs_;
   alloc_dirty_ = true;
-  WakeTicksIfPaused();
 }
 
 size_t Network::QueuedMessages(ConnId conn_id, NodeId from) const {
@@ -406,36 +404,6 @@ void Network::FailNode(NodeId node) {
   }
 }
 
-void Network::ScheduleFirstTick() {
-  tick_scheduled_ = true;
-  tick_anchor_ = now() + config_.quantum;
-  queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
-}
-
-void Network::ScheduleNextTick() {
-  if (config_.skip_idle_ticks && active_dirs_ == 0 && pending_close_ == 0) {
-    tick_paused_ = true;
-    return;
-  }
-  queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
-}
-
-void Network::WakeTicksIfPaused() {
-  if (!tick_paused_) {
-    return;
-  }
-  tick_paused_ = false;
-  tick_resumed_ = true;
-  queue_.Schedule(NextGridTickTime(), [this] { Tick(); });
-}
-
-SimTime Network::NextGridTickTime() const {
-  if (now() < tick_anchor_) {
-    return tick_anchor_;
-  }
-  return tick_anchor_ + ((now() - tick_anchor_) / config_.quantum + 1) * config_.quantum;
-}
-
 // Removes closed connections in one ascending-position swap-with-back pass — the
 // exact pass the pre-PR tick ran every quantum. Batch shape matters: the
 // resulting permutation feeds the allocator, whose FP tie-breaking depends on
@@ -455,15 +423,13 @@ void Network::CompactOpenConns() {
 }
 
 void Network::Tick() {
-  SimTime dt = now() - last_tick_;
-  if (tick_resumed_) {
-    // Waking from an idle pause: the interval since the last executed tick
-    // carried no transmissions, so the advance budget covers one quantum.
-    dt = config_.quantum;
-    tick_resumed_ = false;
-  }
-  last_tick_ = now();
-  const double dt_sec = SimToSec(dt);
+  AllocatorTick();
+  queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
+}
+
+void Network::AllocatorTick() {
+  const double dt_sec = SimToSec(queue_.now() - last_tick_);
+  last_tick_ = queue_.now();
 
   if (pending_close_ > 0) {
     CompactOpenConns();
@@ -471,7 +437,6 @@ void Network::Tick() {
 
   if (config_.allocator_mode == NetworkConfig::AllocatorMode::kFullRecompute) {
     TickFullRecompute(dt_sec);
-    ScheduleNextTick();
     return;
   }
 
@@ -482,8 +447,6 @@ void Network::Tick() {
     }
     AdvanceTransmissions(dt_sec);
   }
-
-  ScheduleNextTick();
 }
 
 // True when every link capacity the last allocation used is unchanged, so the
@@ -527,6 +490,9 @@ int32_t Network::InteriorLinkIdForEpoch(int32_t interior_id) {
 // order replicate the pre-routed tick exactly: uplink(i) = i, downlink(i) = n + i,
 // interior links assigned densely in first-use order while scanning open_conns_ —
 // the allocator's FP results depend on these orders (see bandwidth_allocator.h).
+// The scan and CSR assembly are serial; the TCP-cap evaluation touches only
+// per-flow state, so under the parallel engine it may shard over the worker
+// pool without changing a bit.
 void Network::RebuildAndAllocate(bool base_caps_unchanged) {
   BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
   ++allocator_epochs_;
@@ -553,54 +519,110 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
   cached_flows_.clear();
   ramping_flows_ = 0;
 
-  for (const ConnId id : open_conns_) {
-    const uint8_t busy = conn_busy_mask_[static_cast<size_t>(id)];
-    if (busy == 0) {
-      continue;  // no established direction with queued bytes
+  // TCP-cap evaluation of one busy direction; returns 1 while its cap is
+  // still ramping. It writes only that direction's cap_cache/cap_steady, so
+  // any grouping of the evaluations gives the same caps and ramping total.
+  const SimTime tick_now = queue_.now();
+  auto eval_cap = [this, tick_now](Conn& c, int i) -> size_t {
+    Direction& dir = c.dir[i];
+    if (dir.cap_steady) {
+      return 0;
     }
-    Conn* c = conns_[static_cast<size_t>(id)].get();
+    bool steady = false;
+    dir.cap_cache =
+        TcpRateCapDetail(dir.tcp, tick_now, c.path[i].rtt, c.path[i].loss, config_.tcp, &steady);
+    dir.cap_steady = steady;
+    return steady ? 0 : 1;
+  };
+
+  // Partitioned engine with a wide flow set: the caps are evaluated up front,
+  // sharded over the pool by contiguous open-connection ranges; each worker
+  // counts its ramping flows into its own slot, folded in worker-index order.
+  // Below the threshold the pool's dispatch+join costs more than the cap math
+  // it would spread, and the scan below evaluates each cap as it goes.
+  constexpr size_t kCapShardMinFlows = 2048;
+  const bool shard_caps = pool_ != nullptr && active_dirs_ >= kCapShardMinFlows;
+  if (shard_caps) {
+    const size_t nc = open_conns_.size();
+    const size_t nw = static_cast<size_t>(pool_->num_threads());
+    shard_ramping_.assign(nw, 0);
+    pool_->RunOnAll([this, nc, nw, &eval_cap](int w) {
+      size_t ramping = 0;
+      for (size_t k = nc * static_cast<size_t>(w) / nw;
+           k < nc * (static_cast<size_t>(w) + 1) / nw; ++k) {
+        Conn& c = *GetConn(open_conns_[k]);
+        const uint8_t busy = BusyByte(c);
+        for (int i = 0; i < 2; ++i) {
+          if ((busy & (1 << i)) != 0) {
+            ramping += eval_cap(c, i);
+          }
+        }
+      }
+      shard_ramping_[static_cast<size_t>(w)] = ramping;
+    });
+    for (const size_t r : shard_ramping_) {
+      ramping_flows_ += r;
+    }
+  }
+
+  // The canonical busy-flow scan (serial): flow order, interior-link
+  // numbering and CSR assembly. Main-table connections are filtered by their
+  // flat busy byte before the Conn is touched (most connections are idle in
+  // any given quantum).
+  for (const ConnId id : open_conns_) {
+    Conn* c;
+    uint8_t busy;
+    if ((id >> kConnStoreShift) == 0) {
+      busy = conn_busy_mask_[static_cast<size_t>(id)];
+      if (busy == 0) {
+        continue;
+      }
+      c = conns_[static_cast<size_t>(id)].get();
+    } else {
+      c = GetConn(id);
+      busy = c->busy;
+    }
     for (int i = 0; i < 2; ++i) {
       if ((busy & (1 << i)) == 0) {
         continue;
       }
-      Direction& dir = c->dir[i];
-      const NodeId src = c->node[i];
-      const NodeId dst = c->node[1 - i];
+      if (!shard_caps) {
+        ramping_flows_ += eval_cap(*c, i);
+      }
       // Allocator link list: uplink, downlink, then the interior links — the
       // historical (src, n+dst, core) order generalized to routed paths.
       flow_link_scratch_.clear();
-      flow_link_scratch_.push_back(src);
-      flow_link_scratch_.push_back(static_cast<int32_t>(n) + dst);
+      flow_link_scratch_.push_back(c->node[i]);
+      flow_link_scratch_.push_back(static_cast<int32_t>(n) + c->node[1 - i]);
       for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
            it != PathInteriorEnd(*c, c->path[i]); ++it) {
         flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
       }
-      if (!dir.cap_steady) {
-        bool steady = false;
-        dir.cap_cache = TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss,
-                                         config_.tcp, &steady);
-        dir.cap_steady = steady;
-        if (!steady) {
-          ++ramping_flows_;
-        }
-      }
-      alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache);
+      alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(),
+                         c->dir[i].cap_cache);
       cached_flows_.push_back(CachedFlow{c, i});
     }
   }
 
   if (config_.aggregate_flows) {
     // Aggregated water-fill: bundles over the interior links only; the member
-    // split and access-link bounds happen inside the aggregator.
+    // split and access-link bounds happen inside the aggregator. It runs
+    // serially on both engines: the bundle count is far below the flow count
+    // that makes a sharded fill worthwhile, and serial execution keeps the
+    // partitioned engine's aggregated epoch identical to the serial one.
     aggregator_.Allocate(alloc_, static_cast<size_t>(2 * n));
     current_rates_ = &aggregator_.rates();
     max_interior_link_flows_ =
         std::max(max_interior_link_flows_, aggregator_.max_interior_link_flows());
   } else {
-    alloc_.Allocate();
+    if (parallel_) {
+      alloc_.AllocateParallel(pool_.get());
+    } else {
+      alloc_.Allocate();
+    }
     current_rates_ = &alloc_.rates();
     // Shared-bottleneck introspection: widest interior link of this epoch (links
-    // below 2n are access links). The CSR row widths are valid after Allocate().
+    // below 2n are access links). The CSR row widths are valid after allocation.
     for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
       max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
     }
@@ -1005,142 +1027,8 @@ void Network::MergeStaged() {
 
 // The barrier-time counterpart of Tick(). The parallel engine has no tick
 // *event*: the allocator runs here, at each anchor + k*quantum barrier, which
-// is the identical cadence (skip_idle_ticks is ignored — the windows
-// themselves are the clock).
-void Network::TickParallel() {
-  const SimTime dt = queue_.now() - last_tick_;
-  last_tick_ = queue_.now();
-  if (pending_close_ > 0) {
-    CompactOpenConns();
-  }
-  if (active_dirs_ > 0) {
-    const bool caps_same = CapacitiesUnchanged();
-    if (alloc_dirty_ || !caps_same) {
-      RebuildAndAllocateParallel(caps_same);
-    }
-    AdvanceTransmissions(SimToSec(dt));
-  }
-}
-
-// RebuildAndAllocate, restructured for the pool: the flow scan, CSR assembly
-// and link numbering stay serial (they define allocation order, which the
-// max-min arithmetic depends on), while the TCP-cap evaluation — the
-// transcendental-heavy part — shards across workers over disjoint flow
-// ranges, and the water-fill itself runs AllocateParallel.
-void Network::RebuildAndAllocateParallel(bool base_caps_unchanged) {
-  BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
-  ++allocator_epochs_;
-  const int n = topology_->num_nodes();
-  if (base_caps_unchanged && base_caps_.size() == static_cast<size_t>(2 * n)) {
-    alloc_.BeginEpoch(static_cast<size_t>(2 * n));
-  } else {
-    alloc_.BeginEpoch(0);
-    base_caps_.resize(static_cast<size_t>(2 * n));
-    for (NodeId i = 0; i < n; ++i) {
-      const double up = topology_->uplink(i).bandwidth_bps;
-      alloc_.AddLink(up);
-      base_caps_[static_cast<size_t>(i)] = up;
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      const double down = topology_->downlink(i).bandwidth_bps;
-      alloc_.AddLink(down);
-      base_caps_[static_cast<size_t>(n + i)] = down;
-    }
-  }
-  ++epoch_counter_;
-  interior_caps_.clear();
-  cached_flows_.clear();
-  ramping_flows_ = 0;
-
-  // Pass 1 (serial): the canonical busy-flow scan, defining flow order.
-  for (const ConnId id : open_conns_) {
-    Conn* c = GetConn(id);
-    const uint8_t busy = BusyByte(*c);
-    if (busy == 0) {
-      continue;
-    }
-    for (int i = 0; i < 2; ++i) {
-      if ((busy & (1 << i)) != 0) {
-        cached_flows_.push_back(CachedFlow{c, i});
-      }
-    }
-  }
-
-  // Pass 2 (sharded): TCP-cap evaluation. Each worker owns a contiguous flow
-  // range — disjoint cap_cache/cap_steady writes — and counts its ramping
-  // flows into its own slot; the fold below is in worker-index order. The
-  // evaluation itself is identical either way (same per-flow writes, same
-  // ramping total), so the shard threshold is pure scheduling: below it the
-  // pool's dispatch+join costs more than the cap math it would spread.
-  constexpr size_t kCapShardMinFlows = 2048;
-  const size_t nf = cached_flows_.size();
-  const SimTime tick_now = queue_.now();
-  auto eval_caps = [this, tick_now](size_t lo, size_t hi) {
-    size_t ramping = 0;
-    for (size_t fi = lo; fi < hi; ++fi) {
-      Conn* c = cached_flows_[fi].conn;
-      const int i = cached_flows_[fi].dir_idx;
-      Direction& dir = c->dir[i];
-      if (!dir.cap_steady) {
-        bool steady = false;
-        dir.cap_cache = TcpRateCapDetail(dir.tcp, tick_now, c->path[i].rtt, c->path[i].loss,
-                                         config_.tcp, &steady);
-        dir.cap_steady = steady;
-        if (!steady) {
-          ++ramping;
-        }
-      }
-    }
-    return ramping;
-  };
-  if (nf >= kCapShardMinFlows) {
-    const size_t nw = static_cast<size_t>(pool_->num_threads());
-    shard_ramping_.assign(nw, 0);
-    pool_->RunOnAll([this, nf, nw, &eval_caps](int w) {
-      shard_ramping_[static_cast<size_t>(w)] =
-          eval_caps(nf * static_cast<size_t>(w) / nw, nf * (static_cast<size_t>(w) + 1) / nw);
-    });
-    for (const size_t r : shard_ramping_) {
-      ramping_flows_ += r;
-    }
-  } else {
-    ramping_flows_ += eval_caps(0, nf);
-  }
-
-  // Pass 3 (serial): CSR assembly and interior-link numbering in flow order —
-  // identical numbering to the serial rebuild over the same flow sequence.
-  for (const CachedFlow& cf : cached_flows_) {
-    Conn* c = cf.conn;
-    const int i = cf.dir_idx;
-    flow_link_scratch_.clear();
-    flow_link_scratch_.push_back(c->node[i]);
-    flow_link_scratch_.push_back(static_cast<int32_t>(n) + c->node[1 - i]);
-    for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-         it != PathInteriorEnd(*c, c->path[i]); ++it) {
-      flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
-    }
-    alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(),
-                       c->dir[i].cap_cache);
-  }
-
-  if (config_.aggregate_flows) {
-    // The aggregated water-fill runs serially at the barrier: the bundle
-    // count it allocates over is far below the flow count that makes the
-    // sharded fill worthwhile, and serial execution keeps it deterministic
-    // and identical to the serial engine's aggregated epoch.
-    aggregator_.Allocate(alloc_, static_cast<size_t>(2 * n));
-    current_rates_ = &aggregator_.rates();
-    max_interior_link_flows_ =
-        std::max(max_interior_link_flows_, aggregator_.max_interior_link_flows());
-  } else {
-    alloc_.AllocateParallel(pool_.get());
-    current_rates_ = &alloc_.rates();
-    for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
-      max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
-    }
-  }
-  alloc_dirty_ = ramping_flows_ > 0;
-}
+// is the identical cadence.
+void Network::TickParallel() { AllocatorTick(); }
 
 // The superstep loop. Each iteration: run every partition's window in
 // parallel up to the next quantum-grid barrier, merge staged commands, catch
@@ -1190,7 +1078,8 @@ void Network::Run(SimTime until) {
     ParallelRun(until);
   } else {
     if (!tick_scheduled_) {
-      ScheduleFirstTick();
+      tick_scheduled_ = true;
+      queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
     }
     events_executed_ += queue_.RunUntil(until);
   }

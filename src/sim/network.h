@@ -43,14 +43,9 @@
 // steady-state message handling performs no per-message allocation.
 //
 // NetworkConfig::allocator_mode selects the legacy full-recompute-every-quantum
-// tick (the pre-PR behaviour, kept as a reference and for A/B benchmarking);
-// NetworkConfig::skip_idle_ticks additionally elides idle tick events entirely and
-// schedules the next tick on the quantum grid when a flow wakes — fastest for
-// workloads with long quiet phases, but same-time event tie-breaking can differ
-// from the reference modes, so identical-seed runs are only reproducible against
-// the same mode, not across modes.
+// tick (the pre-PR behaviour, kept as a reference and for A/B benchmarking).
 //
-// Parallel engine (this PR). NetworkConfig::num_threads > 1 on a transit-stub
+// Parallel engine (PR 9). NetworkConfig::num_threads > 1 on a transit-stub
 // RoutedTopology runs a partitioned conservative-synchronization engine:
 //
 //   * Nodes are partitioned by transit-stub domain (each stub domain maps to
@@ -90,8 +85,7 @@
 // cross-partition Close becomes visible to IsOpen at the next barrier; a Send
 // issued after its connection established in the same window anchors its TCP
 // ramp at the establishment instant); worker Connects register in merge order
-// rather than global time order; Stop() takes effect at the next barrier;
-// skip_idle_ticks is ignored (the barrier cadence is the quantum).
+// rather than global time order; Stop() takes effect at the next barrier.
 //
 // Thread-safety contract: Network's public API may be called from protocol
 // code in worker context (the engine routes such calls through the staging
@@ -154,11 +148,6 @@ struct NetworkConfig {
     kFullRecompute,  // pre-PR behaviour: rebuild + water-fill every quantum
   };
   AllocatorMode allocator_mode = AllocatorMode::kIncremental;
-
-  // Elide tick events while no direction has queued bytes and no close is pending
-  // compaction; the next tick is scheduled on the quantum grid when a flow wakes.
-  // Not bit-reproducible against the non-skipping modes (see header comment).
-  bool skip_idle_ticks = false;
 
   // > 1 requests the partitioned parallel engine (see the header comment).
   // Effective only on transit-stub routed topologies in kIncremental mode; the
@@ -493,11 +482,11 @@ class Network {
     return c.store == 0 ? conn_busy_mask_[static_cast<size_t>(c.id & kConnIndexMask)] : c.busy;
   }
 
-  void ScheduleFirstTick();
-  void ScheduleNextTick();
-  void WakeTicksIfPaused();
-  SimTime NextGridTickTime() const;
+  // The serial engine's tick event: AllocatorTick(), then the next tick.
   void Tick();
+  // One quantum boundary, shared by both engines: close compaction, then (when
+  // dirty) rebuild + water-fill, then transmission advance.
+  void AllocatorTick();
   void TickFullRecompute(double dt_sec);
   void CompactOpenConns();
   bool CapacitiesUnchanged() const;
@@ -514,11 +503,8 @@ class Network {
   void ParallelRun(SimTime until);
   // Drains staged command logs in merge order at a barrier.
   void MergeStaged();
-  // The barrier-time counterpart of Tick(): compaction, allocation, advance.
+  // The barrier-time counterpart of Tick(): AllocatorTick() with no event.
   void TickParallel();
-  // RebuildAndAllocate with TCP-cap evaluation sharded over the pool and the
-  // water-fill run through IncrementalMaxMin::AllocateParallel.
-  void RebuildAndAllocateParallel(bool base_caps_unchanged);
   // Worker-context Connect: allocates the conn in the partition store and
   // stages a kConnect for the coordinator to complete at the barrier.
   ConnId ConnectInWorker(int partition, NodeId from, NodeId to);
@@ -606,10 +592,8 @@ class Network {
   int64_t published_bytes_ = 0;
 
   SimTime last_tick_ = 0;
-  SimTime tick_anchor_ = 0;  // time of the first tick; the grid is anchor + k*quantum
+  SimTime tick_anchor_ = 0;  // parallel engine's first barrier; the grid is anchor + k*quantum
   bool tick_scheduled_ = false;
-  bool tick_paused_ = false;    // skip_idle_ticks mode: no tick event pending
-  bool tick_resumed_ = false;   // next tick woke from a pause; clamp its dt
 
   // --- parallel engine state (empty/unused in serial mode) ---
   bool parallel_ = false;

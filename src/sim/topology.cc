@@ -202,26 +202,32 @@ void RoutedTopology::BuildAdjacency() const {
   adj_built_ = true;
 }
 
-void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
+void RoutedTopology::Dijkstra(const std::vector<int32_t>& sources, std::vector<SimTime>* dist,
+                              std::vector<int32_t>* prev_edge) const {
   if (!adj_built_) {
     BuildAdjacency();
   }
-  SourceRoutes& out = routes_[static_cast<size_t>(src_router)];
-  out.prev_edge.assign(static_cast<size_t>(num_routers_), -1);
-  std::vector<SimTime> dist(static_cast<size_t>(num_routers_), -1);  // -1 = unreached
-
-  // Deterministic Dijkstra: the heap orders by (distance, router id), edges
-  // relax in AddEdge order, and only strict improvements replace a predecessor,
-  // so the shortest-path tree is a pure function of the construction sequence.
+  dist->assign(static_cast<size_t>(num_routers_), -1);  // -1 = unreached
+  if (prev_edge != nullptr) {
+    prev_edge->assign(static_cast<size_t>(num_routers_), -1);
+  }
+  // Deterministic: the heap orders by (distance, router id), edges relax in
+  // AddEdge order, and only strict improvements replace a predecessor, so the
+  // shortest-path tree is a pure function of the construction sequence.
   using QueueEntry = std::pair<SimTime, int32_t>;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<QueueEntry>> heap;
-  dist[static_cast<size_t>(src_router)] = 0;
-  heap.push({0, src_router});
+  for (const int32_t src : sources) {
+    BULLET_CHECK(static_cast<uint32_t>(src) < static_cast<uint32_t>(num_routers_));
+    if ((*dist)[static_cast<size_t>(src)] != 0) {
+      (*dist)[static_cast<size_t>(src)] = 0;
+      heap.push({0, src});
+    }
+  }
   while (!heap.empty()) {
     const auto [d, router] = heap.top();
     heap.pop();
     const size_t ri = static_cast<size_t>(router);
-    if (d != dist[ri]) {
+    if (d != (*dist)[ri]) {
       continue;  // stale entry
     }
     for (uint32_t off = adj_off_[ri]; off < adj_off_[ri + 1]; ++off) {
@@ -229,14 +235,41 @@ void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
       const Edge& e = edges_[static_cast<size_t>(eid)];
       const size_t ti = static_cast<size_t>(e.to);
       const SimTime nd = d + e.params.delay;
-      if (dist[ti] < 0 || nd < dist[ti]) {
-        dist[ti] = nd;
-        out.prev_edge[ti] = eid;
+      if ((*dist)[ti] < 0 || nd < (*dist)[ti]) {
+        (*dist)[ti] = nd;
+        if (prev_edge != nullptr) {
+          (*prev_edge)[ti] = eid;
+        }
         heap.push({nd, e.to});
       }
     }
   }
+}
+
+void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
+  SourceRoutes& out = routes_[static_cast<size_t>(src_router)];
+  std::vector<SimTime> dist;
+  Dijkstra({src_router}, &dist, &out.prev_edge);
   out.computed = true;
+}
+
+bool RoutedTopology::InStub(int32_t router) const {
+  return transit_stub_info() != nullptr && transit_stub_info_.stub_domain_of_router(router) >= 0;
+}
+
+void RoutedTopology::AppendTreeWalk(int32_t from, int32_t to, std::vector<int32_t>* out) const {
+  if (!routes_[static_cast<size_t>(from)].computed) {
+    ComputeRoutesFrom(from);
+  }
+  const SourceRoutes& routes = routes_[static_cast<size_t>(from)];
+  const size_t off = out->size();
+  for (int32_t walk = to; walk != from;) {
+    const int32_t eid = routes.prev_edge[static_cast<size_t>(walk)];
+    BULLET_CHECK(eid >= 0 && "router graph does not connect the attached routers");
+    out->push_back(eid);
+    walk = edges_[static_cast<size_t>(eid)].from;
+  }
+  std::reverse(out->begin() + static_cast<std::ptrdiff_t>(off), out->end());
 }
 
 Topology::PathView RoutedTopology::InteriorPath(NodeId src, NodeId dst) const {
@@ -247,39 +280,13 @@ Topology::PathView RoutedTopology::InteriorPath(NodeId src, NodeId dst) const {
   if (r0 == r1) {
     return PathView{nullptr, 0};  // same stub router: access links only
   }
-  if (compress_segments_) {
-    return ComposedInteriorPath(r0, r1);
+  route_scratch_.clear();
+  if (InStub(r0) && InStub(r1)) {
+    ComposeStubRoute(r0, r1);
+  } else {
+    AppendTreeWalk(r0, r1, &route_scratch_);
   }
-  const int64_t key = static_cast<int64_t>(r0) * num_routers_ + r1;
-  auto it = path_cache_.find(key);
-  if (it == path_cache_.end()) {
-    if (!routes_[static_cast<size_t>(r0)].computed) {
-      ComputeRoutesFrom(r0);
-    }
-    const SourceRoutes& routes = routes_[static_cast<size_t>(r0)];
-    const uint32_t off = static_cast<uint32_t>(path_pool_.size());
-    int32_t walk = r1;
-    while (walk != r0) {
-      const int32_t eid = routes.prev_edge[static_cast<size_t>(walk)];
-      BULLET_CHECK(eid >= 0 && "router graph does not connect the attached routers");
-      path_pool_.push_back(eid);
-      walk = edges_[static_cast<size_t>(eid)].from;
-    }
-    std::reverse(path_pool_.begin() + off, path_pool_.end());
-    const uint32_t len = static_cast<uint32_t>(path_pool_.size()) - off;
-    it = path_cache_.emplace(key, std::make_pair(off, len)).first;
-  }
-  return PathView{path_pool_.data() + it->second.first, it->second.second};
-}
-
-void RoutedTopology::EnableSegmentCompression() {
-  BULLET_CHECK(transit_stub_info() != nullptr &&
-               "segment compression requires a TransitStub-built topology");
-  BULLET_CHECK(!adj_built_ && "enable segment compression before the first route query");
-  compress_segments_ = true;
-  const size_t t = static_cast<size_t>(transit_stub_info_.num_transit_routers);
-  segment_off_.assign(t * t, kSegmentUnset);
-  segment_len_.assign(t * t, 0);
+  return PathView{route_scratch_.data(), static_cast<uint32_t>(route_scratch_.size())};
 }
 
 std::pair<uint32_t, uint32_t> RoutedTopology::TransitSegment(int32_t tr0, int32_t tr1) const {
@@ -290,141 +297,89 @@ std::pair<uint32_t, uint32_t> RoutedTopology::TransitSegment(int32_t tr0, int32_
       static_cast<size_t>(tr0) * static_cast<size_t>(transit_stub_info_.num_transit_routers) +
       static_cast<size_t>(tr1);
   if (segment_off_[slot] == kSegmentUnset) {
-    if (!routes_[static_cast<size_t>(tr0)].computed) {
-      ComputeRoutesFrom(tr0);
-    }
-    const SourceRoutes& routes = routes_[static_cast<size_t>(tr0)];
     const uint32_t off = static_cast<uint32_t>(segment_pool_.size());
-    int32_t walk = tr1;
-    while (walk != tr0) {
-      const int32_t eid = routes.prev_edge[static_cast<size_t>(walk)];
-      BULLET_CHECK(eid >= 0 && "router graph does not connect the transit routers");
-      segment_pool_.push_back(eid);
-      walk = edges_[static_cast<size_t>(eid)].from;
-    }
-    std::reverse(segment_pool_.begin() + off, segment_pool_.end());
+    AppendTreeWalk(tr0, tr1, &segment_pool_);
     segment_off_[slot] = off;
     segment_len_[slot] = static_cast<uint32_t>(segment_pool_.size()) - off;
   }
   return {segment_off_[slot], segment_len_[slot]};
 }
 
-Topology::PathView RoutedTopology::ComposedInteriorPath(int32_t r0, int32_t r1) const {
+void RoutedTopology::ComposeStubRoute(int32_t r0, int32_t r1) const {
   const TransitStubInfo& ts = transit_stub_info_;
   const int d0 = ts.stub_domain_of_router(r0);
   const int d1 = ts.stub_domain_of_router(r1);
-  BULLET_CHECK(d0 >= 0 && d1 >= 0 && "segment compression composes stub-attached nodes only");
-  compose_scratch_.clear();
-  const int32_t g0 = ts.gateway_router(d0);
-  const int32_t g1 = ts.gateway_router(d1);
-  if (d0 == d1) {
-    // Same stub star: the unique simple path runs member -> gateway -> member
-    // (the gateway's only other exit is its transit uplink, which cannot
-    // re-enter the star without revisiting the gateway).
-    if (r0 != g0) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r0)] + 1);
-    }
-    if (r1 != g1) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r1)]);
-    }
-  } else {
-    // Cross-stub: up the star (if not at the gateway), up the gateway's single
-    // transit uplink, across the shared transit segment, then mirror down.
-    if (r0 != g0) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r0)] + 1);
-    }
-    compose_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d0)] + 1);
-    const auto [off, len] = TransitSegment(ts.transit_router(d0), ts.transit_router(d1));
-    compose_scratch_.insert(compose_scratch_.end(), segment_pool_.begin() + off,
-                            segment_pool_.begin() + off + len);
-    compose_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d1)]);
-    if (r1 != g1) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r1)]);
-    }
+  // Up the source star (unless at its gateway) and, across stubs, up the
+  // gateway's single transit uplink, over the shared transit segment, then
+  // mirror down. Within one star the unique simple path is member -> gateway
+  // -> member: the gateway's only other exit is its transit uplink, which
+  // cannot re-enter the star without revisiting the gateway.
+  if (r0 != ts.gateway_router(d0)) {
+    route_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r0)] + 1);
   }
-  return PathView{compose_scratch_.data(), static_cast<uint32_t>(compose_scratch_.size())};
+  if (d0 != d1) {
+    route_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d0)] + 1);
+    const auto [off, len] = TransitSegment(ts.transit_router(d0), ts.transit_router(d1));
+    route_scratch_.insert(route_scratch_.end(), segment_pool_.begin() + off,
+                          segment_pool_.begin() + off + len);
+    route_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d1)]);
+  }
+  if (r1 != ts.gateway_router(d1)) {
+    route_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r1)]);
+  }
 }
 
 void RoutedTopology::PrewarmRoutes() const {
   if (!adj_built_) {
     BuildAdjacency();
   }
-  if (compress_segments_) {
-    // Only transit-router trees are needed (stub legs come straight from the
-    // recorded build edges); warm one tree per transit router serving an
-    // attached node's domain, then every segment between warmed routers so
-    // the segment cache is read-only afterwards.
-    const TransitStubInfo& ts = transit_stub_info_;
-    for (const int32_t router : attach_) {
-      if (router < 0) {
-        continue;
-      }
-      const int d = ts.stub_domain_of_router(router);
-      BULLET_CHECK(d >= 0 && "segment compression composes stub-attached nodes only");
-      const int32_t tr = ts.transit_router(d);
+  // Warm every tree a later query can walk: a stub-attached source's transit
+  // router (composed routes), and — once any node sits outside a stub, so some
+  // pair takes the tree walk — every attach router's own tree.
+  const bool walks = std::any_of(attach_.begin(), attach_.end(),
+                                 [this](int32_t r) { return r >= 0 && !InStub(r); });
+  for (const int32_t router : attach_) {
+    if (router < 0) {
+      continue;
+    }
+    if (walks && !routes_[static_cast<size_t>(router)].computed) {
+      ComputeRoutesFrom(router);
+    }
+    if (InStub(router)) {
+      const int32_t tr =
+          transit_stub_info_.transit_router(transit_stub_info_.stub_domain_of_router(router));
       if (!routes_[static_cast<size_t>(tr)].computed) {
         ComputeRoutesFrom(tr);
       }
     }
-    for (int32_t a = 0; a < ts.num_transit_routers; ++a) {
-      if (!routes_[static_cast<size_t>(a)].computed) {
-        continue;
-      }
-      for (int32_t b = 0; b < ts.num_transit_routers; ++b) {
-        if (a != b && routes_[static_cast<size_t>(b)].computed) {
-          TransitSegment(a, b);
-        }
-      }
-    }
-    // Size the compose scratch for the longest possible route (two stub legs,
-    // two gateway uplinks, widest segment) so post-prewarm queries never
-    // allocate and route_cache_bytes stays flat.
-    uint32_t max_segment = 0;
-    for (const uint32_t len : segment_len_) {
-      max_segment = std::max(max_segment, len);
-    }
-    compose_scratch_.reserve(static_cast<size_t>(max_segment) + 4);
-    return;
   }
-  for (const int32_t router : attach_) {
-    if (router >= 0 && !routes_[static_cast<size_t>(router)].computed) {
-      ComputeRoutesFrom(router);
+  // Every segment between warmed transit routers, so the segment store is
+  // read-only afterwards.
+  const int32_t t = transit_stub_info_.num_transit_routers;
+  for (int32_t a = 0; a < t; ++a) {
+    for (int32_t b = 0; b < t; ++b) {
+      if (a != b && routes_[static_cast<size_t>(a)].computed &&
+          routes_[static_cast<size_t>(b)].computed) {
+        TransitSegment(a, b);
+      }
     }
   }
+  // Size the route scratch for the longest possible route (a simple path when
+  // walks happen; otherwise two stub legs, two gateway uplinks and the widest
+  // segment) so post-prewarm queries never allocate and route_cache_bytes
+  // stays flat.
+  uint32_t max_segment = 0;
+  for (const uint32_t len : segment_len_) {
+    max_segment = std::max(max_segment, len);
+  }
+  route_scratch_.reserve(walks ? static_cast<size_t>(num_routers_)
+                               : static_cast<size_t>(max_segment) + 4);
 }
 
 std::vector<SimTime> RoutedTopology::RouterDistancesFrom(
     const std::vector<int32_t>& sources) const {
-  if (!adj_built_) {
-    BuildAdjacency();
-  }
-  std::vector<SimTime> dist(static_cast<size_t>(num_routers_), -1);
-  using QueueEntry = std::pair<SimTime, int32_t>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<QueueEntry>> heap;
-  for (const int32_t src : sources) {
-    BULLET_CHECK(static_cast<uint32_t>(src) < static_cast<uint32_t>(num_routers_));
-    if (dist[static_cast<size_t>(src)] != 0) {
-      dist[static_cast<size_t>(src)] = 0;
-      heap.push({0, src});
-    }
-  }
-  while (!heap.empty()) {
-    const auto [d, router] = heap.top();
-    heap.pop();
-    const size_t ri = static_cast<size_t>(router);
-    if (d != dist[ri]) {
-      continue;
-    }
-    for (uint32_t off = adj_off_[ri]; off < adj_off_[ri + 1]; ++off) {
-      const Edge& e = edges_[static_cast<size_t>(adj_edge_[off])];
-      const size_t ti = static_cast<size_t>(e.to);
-      const SimTime nd = d + e.params.delay;
-      if (dist[ti] < 0 || nd < dist[ti]) {
-        dist[ti] = nd;
-        heap.push({nd, e.to});
-      }
-    }
-  }
+  std::vector<SimTime> dist;
+  Dijkstra(sources, &dist, nullptr);
   return dist;
 }
 
@@ -434,22 +389,12 @@ size_t RoutedTopology::MemoryFootprintBytes() const {
 }
 
 size_t RoutedTopology::route_cache_bytes() const {
-  // Per-pair map accounting is honest about container overhead: each hash node
-  // carries the key/value pair plus a next pointer and an allocation header,
-  // and the bucket array itself is resident memory. (The old formula counted
-  // only key+value payload, so cache growth was under-reported by roughly the
-  // bucket array plus one pointer-pair per routed pair.)
-  constexpr size_t kMapNodeBytes =
-      sizeof(std::pair<const int64_t, std::pair<uint32_t, uint32_t>>) + 2 * sizeof(void*);
   size_t bytes = adj_off_.capacity() * sizeof(uint32_t) + adj_edge_.capacity() * sizeof(int32_t) +
-                 path_pool_.capacity() * sizeof(int32_t) +
                  routes_.capacity() * sizeof(SourceRoutes) +
-                 path_cache_.size() * kMapNodeBytes +
-                 path_cache_.bucket_count() * sizeof(void*) +
                  segment_off_.capacity() * sizeof(uint32_t) +
                  segment_len_.capacity() * sizeof(uint32_t) +
                  segment_pool_.capacity() * sizeof(int32_t) +
-                 compose_scratch_.capacity() * sizeof(int32_t);
+                 route_scratch_.capacity() * sizeof(int32_t);
   for (const SourceRoutes& r : routes_) {
     bytes += r.prev_edge.capacity() * sizeof(int32_t);
   }
@@ -510,6 +455,9 @@ RoutedTopology RoutedTopology::TransitStub(const TransitStubParams& p, Rng& rng)
   topo.transit_stub_info_.stub_domains_per_transit_router = p.stub_domains_per_transit_router;
   topo.transit_stub_info_.gateway_uplink_edge.reserve(static_cast<size_t>(num_stub_domains));
   topo.transit_stub_info_.member_uplink_edge.assign(static_cast<size_t>(num_routers), -1);
+  topo.segment_off_.assign(static_cast<size_t>(num_transit) * static_cast<size_t>(num_transit),
+                           kSegmentUnset);
+  topo.segment_len_.assign(static_cast<size_t>(num_transit) * static_cast<size_t>(num_transit), 0);
   std::vector<int32_t> stub_routers;
   stub_routers.reserve(static_cast<size_t>(num_stub_domains) *
                        static_cast<size_t>(p.routers_per_stub));

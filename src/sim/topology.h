@@ -17,9 +17,8 @@
 //    different pairs genuinely share links — the regime where max-min fair
 //    emulation produces the paper's "correlated and cumulative" bandwidth
 //    effects. Memory is O(N + routers + edges); routes are computed on demand
-//    (one Dijkstra per used source router) and per-pair link-id lists are
-//    cached, so the footprint scales with the pairs actually connected, not
-//    with N^2.
+//    (one Dijkstra per used source router) and walked per query, so no state
+//    grows with the node pairs actually connected.
 //
 // Interior link ids are topology-defined dense integers (mesh: src*N+dst; routed:
 // edge index). Propagation delay and loss are fixed once routes are first used;
@@ -32,7 +31,7 @@
 #define SRC_SIM_TOPOLOGY_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -291,7 +290,7 @@ class RoutedTopology final : public Topology {
     // Per router: the interior link id of the gateway->member direction of its
     // intra-stub star link (member->gateway is the next id); -1 for transit
     // routers and stub gateways, which have no star link of their own. Recorded
-    // so segment-compressed routing can compose stub legs without Dijkstra.
+    // so the transit-stub route store can compose stub legs without Dijkstra.
     std::vector<int32_t> member_uplink_edge;
 
     // The stub domain owning `router`; -1 for transit routers.
@@ -312,34 +311,31 @@ class RoutedTopology final : public Topology {
     return transit_stub_info_.num_stub_domains > 0 ? &transit_stub_info_ : nullptr;
   }
 
-  // --- Segment-compressed routing (mega-swarm mode) ---
-  // Opt-in for TransitStub-built topologies: per-pair routes are composed
-  // lazily as (src stub leg, cached transit->transit segment, dst stub leg)
-  // instead of materializing one pooled edge list per router pair, so route
-  // memory is O(T^2 segments + routers), not O(pairs x path length). Composed
-  // views are backed by scratch (valid until the next InteriorPath call, per
-  // the PathView contract) and are bitwise-equal to the uncompressed edge
-  // lists: a stub star leaves through its gateway's single transit uplink, so
-  // the Dijkstra tree beyond the transit router is shift-invariant in the
-  // source (same (dist, router) heap order, same strict-improvement
-  // relaxations), making the composed list exactly the tree walk the
-  // uncompressed path cache would have stored (route_composition_test pins
-  // this). Must be enabled before the first route query.
-  void EnableSegmentCompression();
-  bool segment_compression_enabled() const { return compress_segments_; }
-
-  // Thread-safety: route state (adjacency CSR, per-source shortest-path trees,
-  // per-pair path cache) fills lazily under const queries, so concurrent
-  // InteriorPath/PathDelay calls from multiple threads race. The parallel
-  // engine's contract is: PrewarmRoutes() once at startup (single-threaded),
-  // then all path queries happen on the coordinator thread only — worker
-  // threads never query the topology (network.h documents the matching engine
-  // contract). PrewarmRoutes computes the shortest-path tree from every router
-  // an overlay node attaches to, plus the adjacency CSR, so the only state
-  // still mutating afterwards is the per-pair path cache. Under segment
-  // compression it instead warms the (far fewer) transit-router trees and all
-  // transit segments between them; the compose scratch still mutates per
-  // query, coordinator-only like the path cache.
+  // --- Route store ---
+  // One store per topology kind. On a TransitStub-built topology, a pair whose
+  // ends both attach inside stub domains gets its route composed as (src stub
+  // leg, cached transit->transit segment, dst stub leg), so route memory is
+  // O(T^2 segments + routers), not O(pairs x path length). Every other pair —
+  // any pair on a topology built edge by edge, or one whose endpoint attaches
+  // to a transit router — walks the source router's Dijkstra tree. Both forms
+  // fill the same scratch buffer (valid until the next InteriorPath call, per
+  // the PathView contract), and they agree bitwise: a stub star leaves
+  // through its gateway's single transit uplink, so the Dijkstra tree beyond
+  // the transit router is shift-invariant in the source (same (dist, router)
+  // heap order, same strict-improvement relaxations), making the composed
+  // list exactly the tree walk (scale_subsystem_test replays TransitStub
+  // graphs into plain RoutedTopologys and pins this for every pair).
+  //
+  // Thread-safety: route state (adjacency CSR, shortest-path trees, transit
+  // segments, the route scratch) fills lazily under const queries, so
+  // concurrent InteriorPath/PathDelay calls from multiple threads race. The
+  // parallel engine's contract is: PrewarmRoutes() once at startup
+  // (single-threaded), then all path queries happen on the coordinator thread
+  // only — worker threads never query the topology (network.h documents the
+  // matching engine contract). PrewarmRoutes builds the adjacency CSR, the
+  // trees later queries can walk (transit-router trees for composed pairs,
+  // attach-router trees once any pair takes the tree walk) and every segment
+  // between warmed transit routers; afterwards only the scratch mutates.
   void PrewarmRoutes() const;
 
   // Multi-source delay-weighted Dijkstra over the router graph: distance from
@@ -357,12 +353,21 @@ class RoutedTopology final : public Topology {
   };
 
   void BuildAdjacency() const;
-  // Dijkstra (delay-weighted, deterministic (dist, router) tie-break) from
-  // `src_router`, filling routes_[src_router].
+  // Multi-source delay-weighted Dijkstra with a deterministic (dist, router)
+  // tie-break: fills *dist (-1 where unreachable) and, when non-null,
+  // *prev_edge (edge arriving at each router; -1 at sources/unreachable).
+  void Dijkstra(const std::vector<int32_t>& sources, std::vector<SimTime>* dist,
+                std::vector<int32_t>* prev_edge) const;
+  // The tree from `src_router` into routes_[src_router].
   void ComputeRoutesFrom(int32_t src_router) const;
-  // Compressed-mode route assembly: stub legs from the recorded build edges,
-  // interior from the cached transit segment. Returns a scratch-backed view.
-  PathView ComposedInteriorPath(int32_t r0, int32_t r1) const;
+  // True when `router` lies inside a stub domain of a TransitStub build.
+  bool InStub(int32_t router) const;
+  // Appends the from->to route of `from`'s shortest-path tree to `out`, in
+  // path order, computing the tree on first use.
+  void AppendTreeWalk(int32_t from, int32_t to, std::vector<int32_t>* out) const;
+  // Composed route between two stub routers into route_scratch_: stub legs
+  // from the recorded build edges, interior from the cached transit segment.
+  void ComposeStubRoute(int32_t r0, int32_t r1) const;
   // (offset, length) into segment_pool_ of the tr0->tr1 transit segment,
   // computing and caching it on first use.
   std::pair<uint32_t, uint32_t> TransitSegment(int32_t tr0, int32_t tr1) const;
@@ -372,8 +377,8 @@ class RoutedTopology final : public Topology {
   std::vector<Edge> edges_;
   TransitStubInfo transit_stub_info_;  // empty unless TransitStub-built
 
-  // Lazy routing state (const-queried, cached): CSR adjacency over routers,
-  // per-source shortest-path trees, and pooled per-router-pair edge lists.
+  // Lazy routing state (const-queried, cached): CSR adjacency over routers and
+  // per-source shortest-path trees.
   mutable bool adj_built_ = false;
   mutable std::vector<uint32_t> adj_off_;
   mutable std::vector<int32_t> adj_edge_;
@@ -382,18 +387,15 @@ class RoutedTopology final : public Topology {
     std::vector<int32_t> prev_edge;  // edge arriving at each router; -1 at src/unreachable
   };
   mutable std::vector<SourceRoutes> routes_;
-  mutable std::unordered_map<int64_t, std::pair<uint32_t, uint32_t>> path_cache_;
-  mutable std::vector<int32_t> path_pool_;
 
-  // Segment-compression state: dense T x T transit-segment cache (offset into
-  // segment_pool_; kSegmentUnset until computed) plus the scratch buffer that
-  // backs composed PathViews.
+  // Transit-stub segment store: dense T x T transit-segment cache (offset into
+  // segment_pool_; kSegmentUnset until computed), sized by TransitStub() and
+  // empty otherwise, plus the scratch buffer that backs every PathView.
   static constexpr uint32_t kSegmentUnset = 0xffffffffu;
-  bool compress_segments_ = false;
   mutable std::vector<uint32_t> segment_off_;
   mutable std::vector<uint32_t> segment_len_;
   mutable std::vector<int32_t> segment_pool_;
-  mutable std::vector<int32_t> compose_scratch_;
+  mutable std::vector<int32_t> route_scratch_;
 };
 
 }  // namespace bullet

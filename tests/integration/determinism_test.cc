@@ -7,8 +7,6 @@
 //    agree flow-for-flow: identical delivery timelines on a scripted
 //    network-level scenario (including dynamics-driven capacity changes), and
 //    identical completion times on a full protocol run.
-//  * The skip-idle-ticks mode must produce the same timeline as the default
-//    mode when wakeups do not collide with other same-time events.
 //  * All of the above hold on the routed transit-stub topology too, where the
 //    script's churn and periodic bandwidth halving land on genuinely shared
 //    interior links (lossy transit tier, so the delivery RNG stream is
@@ -18,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -342,23 +341,6 @@ TEST(Determinism, LateJoinChurnWorkloadIncrementalMatchesFullRecompute) {
   EXPECT_EQ(full.sessions_completed, 0);
 }
 
-TEST(Determinism, SkipIdleTicksMatchesDefaultOnCollisionFreeScript) {
-  // The script's sends/closes land off the 10 ms tick grid, so eliding idle
-  // tick events cannot reorder same-time events and the timeline must match
-  // the default mode exactly (the mode's documented contract).
-  NetworkConfig heartbeat;
-  NetworkConfig skipping;
-  skipping.skip_idle_ticks = true;
-
-  const std::vector<std::string> a = RunScript(heartbeat);
-  const std::vector<std::string> b = RunScript(skipping);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "event " << i;
-  }
-}
-
 // The full generator stack — diurnal arrivals, Pareto lifetimes with seeder
 // departure, DSL access-link cohorts, and a correlated stub outage — must be
 // exactly reproducible: two in-process runs of the same spec serialize to the
@@ -407,10 +389,10 @@ TEST(Determinism, GeneratorDrivenChurnWorkloadSerializesIdentically) {
 
 // --- parallel engine goldens (partitioned multi-threaded core) ---
 
-std::unique_ptr<Topology> ParallelScriptTopology() {
+std::unique_ptr<Topology> ParallelScriptTopology(int num_nodes = 16) {
   Rng rng(97);
   RoutedTopology::TransitStubParams params;
-  params.num_nodes = 16;
+  params.num_nodes = num_nodes;
   params.transit_domains = 2;
   params.routers_per_transit = 2;
   params.stub_domains_per_transit_router = 1;
@@ -515,6 +497,60 @@ TEST(Determinism, ParallelScriptRepeatedRunsIdentical) {
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << threads << " threads";
   }
+}
+
+// A 2-thread run wide enough for the allocator rebuild's TCP-cap pass to
+// shard over the worker pool: every ordered pair of 64 nodes carries a busy
+// flow (4032, above the 2048-flow shard threshold), and the flows are still in
+// slow start, so each epoch rebuilds and re-evaluates the full set. Returns
+// the timeline; *peak_busy receives the widest busy-flow count sampled.
+std::vector<std::string> RunWideParallelScript(size_t* peak_busy) {
+  constexpr NodeId kNodes = 64;
+  NetworkConfig config;
+  config.num_threads = 2;
+  Network net(ParallelScriptTopology(kNodes), config, 779);
+  EXPECT_GE(net.parallel_partitions(), 2);
+  std::vector<std::unique_ptr<TimelineRecorder>> handlers;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    handlers.push_back(std::make_unique<TimelineRecorder>(&net));
+    net.SetHandler(n, handlers.back().get());
+  }
+  int next_id = 0;
+  for (NodeId s = 0; s < kNodes; ++s) {
+    for (NodeId d = s + 1; d < kNodes; ++d) {
+      const ConnId conn = net.Connect(s, d);
+      net.Send(conn, s, std::make_unique<ScriptMsg>(next_id++, 16 * 1024));
+      net.Send(conn, d, std::make_unique<ScriptMsg>(next_id++, 16 * 1024));
+    }
+  }
+  *peak_busy = 0;
+  for (const double t : {0.4, 0.6}) {
+    net.queue().Schedule(SecToSim(t), [&net, peak_busy] {
+      *peak_busy = std::max(*peak_busy, net.active_directions());
+    });
+  }
+  net.Run(SecToSim(4.0));
+  std::vector<std::string> all;
+  for (auto& h : handlers) {
+    for (auto& e : h->events) {
+      all.push_back(std::move(e));
+    }
+  }
+  return all;
+}
+
+TEST(Determinism, WideParallelRunShardsCapEvaluationAndRepeatsIdentically) {
+  size_t peak_a = 0;
+  size_t peak_b = 0;
+  const std::vector<std::string> a = RunWideParallelScript(&peak_a);
+  const std::vector<std::string> b = RunWideParallelScript(&peak_b);
+  EXPECT_GE(peak_a, 2048u);
+  EXPECT_EQ(peak_a, peak_b);
+  ASSERT_FALSE(a.empty());
+  EXPECT_TRUE(std::any_of(a.begin(), a.end(),
+                          [](const std::string& e) { return e.find(" msg ") != std::string::npos; }))
+      << "no message was delivered; the run pins connection setup only";
+  EXPECT_EQ(a, b);
 }
 
 // Staggered joins, leaf churn, and periodic correlated bandwidth halving on

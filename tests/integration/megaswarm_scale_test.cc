@@ -1,15 +1,18 @@
 // End-to-end contract of the mega-swarm scale subsystem (ctest label
-// `routed`): enabling route compression must not move a single bit of any
-// scenario result (serial or partitioned engine), the aggregated allocator
-// must still complete transfers, and the memory telemetry must flow through
-// ScenarioResult so the megaswarm ceilings gate has real numbers to check.
+// `routed`): composed transit-stub routes must not move a single bit of a
+// protocol run compared with tree-walked routes over the same graph, the
+// aggregated allocator must still complete transfers, and the memory
+// telemetry must flow through ScenarioResult so the megaswarm ceilings gate
+// has real numbers to check.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/harness/scenarios.h"
+#include "src/harness/workload.h"
 
 namespace bullet {
 namespace {
@@ -24,48 +27,55 @@ ScenarioConfig SmallMegaswarmConfig() {
   return cfg;
 }
 
-void ExpectBitwiseEqualResults(const ScenarioResult& a, const ScenarioResult& b) {
-  ASSERT_EQ(a.completion_sec.size(), b.completion_sec.size());
-  for (size_t i = 0; i < a.completion_sec.size(); ++i) {
-    EXPECT_EQ(a.completion_sec[i], b.completion_sec[i]) << "receiver " << i;
+// Bullet' over `topology` with every node joining at t=0 — the scenario
+// harness's session shape, on a caller-supplied topology.
+WorkloadResult RunBulletPrime(std::unique_ptr<Topology> topology, const ScenarioConfig& cfg) {
+  WorkloadParams params;
+  params.seed = cfg.seed;
+  params.deadline = cfg.deadline;
+  WorkloadExperiment exp(std::move(topology), params);
+  SessionSpec spec;
+  spec.protocol = "bullet-prime";
+  spec.file.block_bytes = cfg.block_bytes;
+  spec.file.num_blocks = static_cast<uint32_t>(cfg.file_mb * 1024.0 * 1024.0 /
+                                               static_cast<double>(cfg.block_bytes));
+  spec.seed = cfg.seed;
+  exp.AddSession(spec);
+  return exp.Run();
+}
+
+TEST(MegaswarmScale, CompressedRoutesDoNotPerturbScenarioResults) {
+  // The same run over a TransitStub graph (routes composed from stub legs and
+  // transit segments) and over its edge-by-edge replay as a plain
+  // RoutedTopology (every route walked from the source router's tree).
+  const ScenarioConfig cfg = SmallMegaswarmConfig();
+  std::unique_ptr<Topology> composed = BuildScenarioTopology(cfg);
+  const RoutedTopology& built = *composed->AsRouted();
+  auto walked = std::make_unique<RoutedTopology>(built.num_nodes(), built.num_routers());
+  for (int32_t id = 0; id < built.num_edges(); ++id) {
+    walked->AddEdge(built.edge_from(id), built.edge_to(id), built.interior_link(id));
   }
-  ASSERT_EQ(a.download_sec.size(), b.download_sec.size());
-  for (size_t i = 0; i < a.download_sec.size(); ++i) {
-    EXPECT_EQ(a.download_sec[i], b.download_sec[i]) << "receiver " << i;
+  for (NodeId n = 0; n < built.num_nodes(); ++n) {
+    walked->AttachNode(n, built.attach(n));
+    walked->uplink(n) = built.uplink(n);
+    walked->downlink(n) = built.downlink(n);
   }
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.duplicate_fraction, b.duplicate_fraction);
-  EXPECT_EQ(a.control_overhead, b.control_overhead);
+  const WorkloadResult a = RunBulletPrime(std::move(composed), cfg);
+  const WorkloadResult b = RunBulletPrime(std::move(walked), cfg);
+  ASSERT_EQ(a.sessions.size(), 1u);
+  ASSERT_EQ(b.sessions.size(), 1u);
+  const SessionResult& sa = a.sessions[0];
+  const SessionResult& sb = b.sessions[0];
+  EXPECT_EQ(sa.completed, sa.receivers);
+  EXPECT_EQ(sa.completion_sec, sb.completion_sec);
+  EXPECT_EQ(sa.download_sec, sb.download_sec);
+  EXPECT_EQ(sa.completed, sb.completed);
+  EXPECT_EQ(sa.duplicate_fraction, sb.duplicate_fraction);
+  EXPECT_EQ(sa.control_overhead, sb.control_overhead);
   EXPECT_EQ(a.max_shared_link_flows, b.max_shared_link_flows);
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.allocator_epochs, b.allocator_epochs);
   EXPECT_EQ(a.sim_bytes_sent, b.sim_bytes_sent);
-}
-
-TEST(MegaswarmScale, CompressedRoutesDoNotPerturbScenarioResults) {
-  ScenarioConfig cfg = SmallMegaswarmConfig();
-  cfg.compress_routes = false;
-  const ScenarioResult plain = RunScenario("bullet-prime", cfg);
-  cfg.compress_routes = true;
-  const ScenarioResult compressed = RunScenario("bullet-prime", cfg);
-  EXPECT_EQ(plain.completed, plain.receivers);
-  ExpectBitwiseEqualResults(plain, compressed);
-}
-
-TEST(MegaswarmScale, CompressedRoutesDoNotPerturbParallelEngineRuns) {
-  // Fixed 20 ms transit tier so the 2-way partition plan's lookahead clears
-  // the 10 ms quantum (same trick as determinism_test) instead of silently
-  // falling back to the serial engine.
-  ScenarioConfig cfg = SmallMegaswarmConfig();
-  cfg.transit_stub.transit_delay_min = MsToSim(20);
-  cfg.transit_stub.transit_delay_max = MsToSim(20);
-  cfg.num_threads = 2;
-  cfg.compress_routes = false;
-  const ScenarioResult plain = RunScenario("bullet-prime", cfg);
-  cfg.compress_routes = true;
-  const ScenarioResult compressed = RunScenario("bullet-prime", cfg);
-  EXPECT_EQ(plain.completed, plain.receivers);
-  ExpectBitwiseEqualResults(plain, compressed);
 }
 
 TEST(MegaswarmScale, AggregatedAllocatorCompletesTransfers) {
@@ -76,7 +86,6 @@ TEST(MegaswarmScale, AggregatedAllocatorCompletesTransfers) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
   const ScenarioResult exact = RunScenario("bullet-prime", cfg);
   cfg.aggregate_flows = true;
-  cfg.compress_routes = true;
   const ScenarioResult aggregated = RunScenario("bullet-prime", cfg);
   EXPECT_EQ(aggregated.completed, aggregated.receivers);
   ASSERT_FALSE(aggregated.completion_sec.empty());
@@ -91,8 +100,8 @@ TEST(MegaswarmScale, AggregatedAllocatorCompletesTransfers) {
 TEST(MegaswarmScale, MemoryTelemetryFlowsThroughScenarioResult) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
   const ScenarioResult r = RunScenario("bullet-prime", cfg);
-  // Transit-stub routing populates the per-pair route cache and the PathCache
-  // arena; Bullet' peer tables live on the counted protocol arenas.
+  // Transit-stub routing populates the route store (trees and transit
+  // segments) and the PathCache arena; Bullet' peer tables live on the counted protocol arenas.
   EXPECT_GT(r.route_cache_bytes, 0u);
   EXPECT_GT(r.path_pool_bytes, 0u);
   EXPECT_GT(r.arena_peak_bytes, 0u);

@@ -8,7 +8,10 @@
 //  3. monotonicity     — removing a flow never decreases a survivor's rate;
 //  4. bit-exactness    — IncrementalMaxMin (with its scratch reused across many
 //                        epochs, including tie-heavy uniform instances) produces
-//                        rates bit-identical to a fresh AllocateMaxMin.
+//                        rates bit-identical to a fresh AllocateMaxMin;
+//  5. sharded rounds   — AllocateParallel on a real worker pool, over rows wide
+//                        enough to shard, repeats bitwise, stays feasible, and
+//                        matches Allocate() bitwise at power-of-two capacities.
 //
 // Run standalone with `ctest -L invariants`.
 
@@ -20,6 +23,7 @@
 
 #include "src/common/rng.h"
 #include "src/sim/bandwidth_allocator.h"
+#include "src/sim/engine_parallel.h"
 
 namespace bullet {
 namespace {
@@ -226,6 +230,95 @@ TEST_P(AllocatorInvariants, RemovingAFlowNeverHurtsSurvivorsLexicographically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomizedInstances, AllocatorInvariants, ::testing::Range(0, 100));
+
+// --- sharded water-fill (the partitioned engine's AllocateParallel) ---
+
+// Power-of-two capacities and flow counts chosen so every share and every
+// freeze subtraction is exact, with one strict bottleneck per round:
+//   round 1  link 0 (2^29, 1024 flows) freezes its whole row at 2^19;
+//   round 2  the 256 capped flows of link 1 freeze at their 2^20 cap;
+//   round 3  link 1 (2^30, 512 flows) freezes the rest at 3 * 2^20.
+// Links 0 and 1 both carry rows of >= 512 flows, so on a pool of two or more
+// workers rounds 1 and 3 take the sharded path.
+struct WideEpoch {
+  std::vector<double> capacity;
+  std::vector<std::vector<int32_t>> links;  // per flow
+  std::vector<double> cap;                  // per flow
+};
+
+WideEpoch MakeWideEpoch() {
+  WideEpoch e;
+  e.capacity = {536870912.0, 1073741824.0, 2147483648.0};  // 2^29, 2^30, 2^31
+  for (int k = 0; k < 8; ++k) {
+    e.capacity.push_back(268435456.0);  // links 3..10: 2^28, 128 flows each
+  }
+  for (int k = 0; k < 4; ++k) {
+    e.capacity.push_back(2147483648.0);  // links 11..14: 2^31, 128 flows each
+  }
+  for (int32_t i = 0; i < 1024; ++i) {
+    std::vector<int32_t> links = {0, 3 + i % 8};
+    if (i % 4 == 0) {
+      links.push_back(2);  // shared with every flow of the second group
+    }
+    e.links.push_back(links);
+    e.cap.push_back(kUnlimited);
+  }
+  for (int32_t j = 0; j < 512; ++j) {
+    e.links.push_back({1, 2, 11 + j % 4});
+    e.cap.push_back(j % 2 == 0 ? 1048576.0 : kUnlimited);  // 2^20 cap on half
+  }
+  return e;
+}
+
+void LoadEpoch(const WideEpoch& e, IncrementalMaxMin* alloc) {
+  alloc->BeginEpoch();
+  for (const double c : e.capacity) {
+    alloc->AddLink(c);
+  }
+  for (size_t f = 0; f < e.links.size(); ++f) {
+    alloc->AddFlowPath(e.links[f].data(), e.links[f].size(), e.cap[f]);
+  }
+}
+
+TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
+  const WideEpoch epoch = MakeWideEpoch();
+  IncrementalMaxMin serial;
+  LoadEpoch(epoch, &serial);
+  serial.Allocate();
+  const std::vector<double> expected = serial.rates();
+  // The instance does what its comment claims.
+  EXPECT_EQ(expected[0], 524288.0);
+  EXPECT_EQ(expected[1024], 1048576.0);
+  EXPECT_EQ(expected[1025], 3145728.0);
+
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    WorkerPool pool(threads, nullptr);
+    IncrementalMaxMin sharded;
+    LoadEpoch(epoch, &sharded);
+    sharded.AllocateParallel(&pool);
+    const std::vector<double> first = sharded.rates();
+    // A second epoch over the same inputs reuses every piece of shard scratch.
+    LoadEpoch(epoch, &sharded);
+    sharded.AllocateParallel(&pool);
+    ASSERT_EQ(first.size(), expected.size());
+    ASSERT_EQ(sharded.rates().size(), expected.size());
+    for (size_t f = 0; f < expected.size(); ++f) {
+      ASSERT_EQ(first[f], sharded.rates()[f]) << "flow " << f << " repeat";
+      ASSERT_EQ(first[f], expected[f]) << "flow " << f << " vs Allocate()";
+    }
+    std::vector<double> used(epoch.capacity.size(), 0.0);
+    for (size_t f = 0; f < first.size(); ++f) {
+      EXPECT_LE(first[f], epoch.cap[f]);
+      for (const int32_t l : epoch.links[f]) {
+        used[static_cast<size_t>(l)] += first[f];
+      }
+    }
+    for (size_t l = 0; l < used.size(); ++l) {
+      EXPECT_LE(used[l], epoch.capacity[l]) << "link " << l << " oversubscribed";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bullet

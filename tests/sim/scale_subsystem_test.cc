@@ -1,13 +1,14 @@
-// Conformance layer for the mega-swarm scale subsystem (ctest label `routed`):
-// segment-compressed route composition must be *bitwise* identical to the
-// direct per-pair Dijkstra routes on transit-stub graphs (so any scenario can
-// enable compression without perturbing results), the compressed route cache
-// must stay flat in the number of queried pairs while the per-pair cache
-// grows, and misuse (non-transit-stub graphs, enabling after routes were
-// built, composing through transit-attached nodes) must die loudly.
+// Conformance layer for the transit-stub route store (ctest label `routed`):
+// every route a TransitStub-built topology answers — composed from stub legs
+// and a cached transit segment, or walked from the source router's tree when
+// an endpoint attaches outside a stub — must be *bitwise* identical to the
+// route a plain RoutedTopology computes over the same edges by walking its
+// Dijkstra tree, and the segment store must stay flat once prewarmed.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -23,26 +24,32 @@ RoutedTopology::TransitStubParams MultiDomainShape(int nodes) {
   p.routers_per_transit = 3;
   p.stub_domains_per_transit_router = 2;
   p.routers_per_stub = 3;
+  p.transit_loss_max = 0.02;  // lossy transit tier, so PathLoss is non-trivial
   return p;
 }
 
-// Two builds from the same seed are identical graphs; one composes, one runs
-// plain per-pair Dijkstra.
-std::pair<RoutedTopology, RoutedTopology> TwinTopologies(int nodes, uint64_t seed,
-                                                         bool prewarm_compressed) {
-  Rng rng_a(seed);
-  Rng rng_b(seed);
-  RoutedTopology plain = RoutedTopology::TransitStub(MultiDomainShape(nodes), rng_a);
-  RoutedTopology compressed = RoutedTopology::TransitStub(MultiDomainShape(nodes), rng_b);
-  compressed.EnableSegmentCompression();
-  if (prewarm_compressed) {
-    compressed.PrewarmRoutes();
+// Replays a built topology into a plain RoutedTopology: the same edges in id
+// order, the same attachments and access links, but no TransitStubInfo — so
+// every route on the replica is a walk of the source router's Dijkstra tree.
+RoutedTopology ReplayAsPlain(const RoutedTopology& built) {
+  RoutedTopology plain(built.num_nodes(), built.num_routers());
+  for (int32_t id = 0; id < built.num_edges(); ++id) {
+    EXPECT_EQ(plain.AddEdge(built.edge_from(id), built.edge_to(id), built.interior_link(id)), id);
   }
-  return {std::move(plain), std::move(compressed)};
+  for (NodeId n = 0; n < built.num_nodes(); ++n) {
+    plain.AttachNode(n, built.attach(n));
+    plain.uplink(n) = built.uplink(n);
+    plain.downlink(n) = built.downlink(n);
+  }
+  EXPECT_EQ(plain.transit_stub_info(), nullptr);
+  return plain;
 }
 
-void ExpectAllPairsBitwiseEqual(const RoutedTopology& plain, const RoutedTopology& compressed,
-                                int nodes) {
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Route, delay, RTT and loss of every ordered pair, compared to the last bit.
+void ExpectOracleEqual(const RoutedTopology& built, const RoutedTopology& plain) {
+  const int nodes = built.num_nodes();
   for (NodeId s = 0; s < nodes; ++s) {
     for (NodeId d = 0; d < nodes; ++d) {
       if (s == d) {
@@ -50,35 +57,84 @@ void ExpectAllPairsBitwiseEqual(const RoutedTopology& plain, const RoutedTopolog
       }
       const Topology::PathView reference = plain.InteriorPath(s, d);
       const std::vector<int32_t> ids(reference.begin(), reference.end());
-      const Topology::PathView composed = compressed.InteriorPath(s, d);
-      ASSERT_EQ(composed.size, ids.size()) << s << "->" << d;
-      for (uint32_t i = 0; i < composed.size; ++i) {
-        ASSERT_EQ(composed.ids[i], ids[i]) << s << "->" << d << " hop " << i;
+      const Topology::PathView route = built.InteriorPath(s, d);
+      ASSERT_EQ(route.size, ids.size()) << s << "->" << d;
+      for (uint32_t i = 0; i < route.size; ++i) {
+        ASSERT_EQ(route.ids[i], ids[i]) << s << "->" << d << " hop " << i;
       }
-      // Derived metrics are computed from the same link lists, so they must
-      // match to the last bit, not within a tolerance.
-      EXPECT_EQ(plain.PathDelay(s, d), compressed.PathDelay(s, d));
-      EXPECT_EQ(plain.PathLoss(s, d), compressed.PathLoss(s, d));
+      EXPECT_EQ(built.PathDelay(s, d), plain.PathDelay(s, d)) << s << "->" << d;
+      EXPECT_EQ(built.Rtt(s, d), plain.Rtt(s, d)) << s << "->" << d;
+      EXPECT_EQ(Bits(built.PathLoss(s, d)), Bits(plain.PathLoss(s, d))) << s << "->" << d;
     }
   }
 }
 
+void ExpectOracleEqualOnSeeds(const RoutedTopology::TransitStubParams& shape, bool prewarm) {
+  for (const uint64_t seed : {515u, 516u, 517u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const RoutedTopology built = RoutedTopology::TransitStub(shape, rng);
+    const RoutedTopology plain = ReplayAsPlain(built);
+    if (prewarm) {
+      built.PrewarmRoutes();
+    }
+    ExpectOracleEqual(built, plain);
+  }
+}
+
 TEST(SegmentCompression, ComposedRoutesAreBitwiseIdenticalToDirectDijkstra) {
-  auto [plain, compressed] = TwinTopologies(48, 515, /*prewarm_compressed=*/false);
-  ExpectAllPairsBitwiseEqual(plain, compressed, 48);
+  ExpectOracleEqualOnSeeds(MultiDomainShape(48), /*prewarm=*/false);
+  // Equal transit delays make Dijkstra ties everywhere; the (dist, router)
+  // tie-break must still resolve them the same way from either source.
+  RoutedTopology::TransitStubParams tied = MultiDomainShape(48);
+  tied.transit_delay_min = MsToSim(20);
+  tied.transit_delay_max = MsToSim(20);
+  ExpectOracleEqualOnSeeds(tied, /*prewarm=*/false);
 }
 
 TEST(SegmentCompression, PrewarmedComposedRoutesStayBitwiseIdentical) {
-  // PrewarmRoutes in compressed mode warms transit trees + segments up front
-  // (the parallel engine's startup contract); answers must not change.
-  auto [plain, compressed] = TwinTopologies(48, 929, /*prewarm_compressed=*/true);
-  ExpectAllPairsBitwiseEqual(plain, compressed, 48);
+  // PrewarmRoutes warms transit trees + segments up front (the parallel
+  // engine's startup contract); answers must not change.
+  ExpectOracleEqualOnSeeds(MultiDomainShape(48), /*prewarm=*/true);
+}
+
+TEST(SegmentCompression, SingleRouterStubsMatchTreeWalk) {
+  // routers_per_stub = 1: every stub is its bare gateway, no star legs.
+  RoutedTopology::TransitStubParams shape = MultiDomainShape(30);
+  shape.routers_per_stub = 1;
+  ExpectOracleEqualOnSeeds(shape, /*prewarm=*/false);
+}
+
+TEST(SegmentCompression, SingleTransitRouterMatchesTreeWalk) {
+  // One transit router: every cross-stub route has an empty transit segment.
+  RoutedTopology::TransitStubParams shape = MultiDomainShape(30);
+  shape.transit_domains = 1;
+  shape.routers_per_transit = 1;
+  shape.stub_domains_per_transit_router = 4;
+  ExpectOracleEqualOnSeeds(shape, /*prewarm=*/false);
+}
+
+TEST(SegmentCompression, TransitAttachedNodeTakesTreeWalk) {
+  // A node re-attached to a transit router (router 0 in the TransitStub
+  // layout) has no stub leg to compose: its pairs walk the source router's
+  // tree, while every other pair still composes.
+  for (const uint64_t seed : {100u, 101u, 102u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    RoutedTopology built = RoutedTopology::TransitStub(MultiDomainShape(24), rng);
+    built.AttachNode(0, 0);
+    const RoutedTopology plain = ReplayAsPlain(built);
+    built.PrewarmRoutes();
+    const size_t warm = built.route_cache_bytes();
+    ExpectOracleEqual(built, plain);
+    // Prewarm covered the walked trees too: answering every pair grew nothing.
+    EXPECT_EQ(built.route_cache_bytes(), warm);
+  }
 }
 
 TEST(SegmentCompression, ComposedRoutesAreValidRouterWalks) {
   Rng rng(303);
   RoutedTopology topo = RoutedTopology::TransitStub(MultiDomainShape(36), rng);
-  topo.EnableSegmentCompression();
   for (NodeId s = 0; s < 36; ++s) {
     for (NodeId d = 0; d < 36; ++d) {
       if (s == d) {
@@ -95,77 +151,25 @@ TEST(SegmentCompression, ComposedRoutesAreValidRouterWalks) {
   }
 }
 
-// --- memory scaling: the point of the subsystem ---
+// --- memory scaling: the point of the segment store ---
 
-TEST(SegmentCompression, CompressedCacheStaysFlatWhilePerPairCacheGrows) {
-  Rng rng_a(777);
-  Rng rng_b(777);
-  RoutedTopology plain = RoutedTopology::TransitStub(MultiDomainShape(64), rng_a);
-  RoutedTopology compressed = RoutedTopology::TransitStub(MultiDomainShape(64), rng_b);
-  compressed.EnableSegmentCompression();
-  compressed.PrewarmRoutes();
-  const size_t compressed_warm = compressed.route_cache_bytes();
-
-  size_t plain_last = plain.route_cache_bytes();
+TEST(SegmentCompression, SegmentStoreStaysFlatAfterPrewarm) {
+  Rng rng(777);
+  RoutedTopology composed = RoutedTopology::TransitStub(MultiDomainShape(64), rng);
+  RoutedTopology walked = ReplayAsPlain(composed);
+  composed.PrewarmRoutes();
+  const size_t warm = composed.route_cache_bytes();
   for (NodeId s = 0; s < 16; ++s) {
     for (NodeId d = 16; d < 64; ++d) {
-      plain.InteriorPath(s, d);
-      compressed.InteriorPath(s, d);
+      composed.InteriorPath(s, d);
+      walked.InteriorPath(s, d);
     }
-    // The per-pair cache grows with every fresh source; the segment store is
-    // already fully warmed and must not grow at all.
-    const size_t plain_now = plain.route_cache_bytes();
-    EXPECT_GT(plain_now, plain_last) << "source " << s;
-    plain_last = plain_now;
-    EXPECT_EQ(compressed.route_cache_bytes(), compressed_warm) << "source " << s;
+    // The segment store is already fully warmed and must not grow at all.
+    EXPECT_EQ(composed.route_cache_bytes(), warm) << "source " << s;
   }
-  EXPECT_LT(compressed_warm, plain_last);
-}
-
-// Satellite fix: route_cache_bytes must account the per-pair map entries
-// (node + bucket overhead), so routing a brand-new pair strictly grows it.
-TEST(SegmentCompression, RouteCacheBytesGrowWithEveryNewPair) {
-  Rng rng(888);
-  RoutedTopology topo = RoutedTopology::TransitStub(MultiDomainShape(48), rng);
-  size_t last = topo.route_cache_bytes();
-  // Nodes land on distinct routers round-robin in this shape, so successive
-  // destinations are genuinely new (router-pair) routes.
-  for (NodeId d = 12; d < 24; ++d) {
-    topo.InteriorPath(0, d);
-    const size_t now = topo.route_cache_bytes();
-    EXPECT_GT(now, last) << "pair 0->" << d;
-    last = now;
-  }
-  // Re-querying cached pairs allocates nothing.
-  for (NodeId d = 12; d < 24; ++d) {
-    topo.InteriorPath(0, d);
-  }
-  EXPECT_EQ(topo.route_cache_bytes(), last);
-}
-
-// --- misuse dies loudly ---
-
-TEST(SegmentCompressionDeathTest, RequiresTransitStubBuiltTopology) {
-  RoutedTopology topo(4, 4);
-  EXPECT_DEATH(topo.EnableSegmentCompression(), "BULLET_CHECK");
-}
-
-TEST(SegmentCompressionDeathTest, MustBeEnabledBeforeFirstRouteQuery) {
-  Rng rng(99);
-  RoutedTopology topo = RoutedTopology::TransitStub(MultiDomainShape(24), rng);
-  topo.InteriorPath(0, 1);  // builds the adjacency and route state
-  EXPECT_DEATH(topo.EnableSegmentCompression(), "BULLET_CHECK");
-}
-
-TEST(SegmentCompressionDeathTest, RefusesNodesAttachedOutsideStubDomains) {
-  Rng rng(100);
-  RoutedTopology topo = RoutedTopology::TransitStub(MultiDomainShape(24), rng);
-  topo.EnableSegmentCompression();
-  // Re-attach node 0 to a transit router (router 0 in the TransitStub layout):
-  // composition is defined for stub-attached nodes only and must die, not
-  // fabricate a route.
-  topo.AttachNode(0, 0);
-  EXPECT_DEATH(topo.InteriorPath(0, 1), "BULLET_CHECK");
+  // Composition keeps one tree per transit router; walking keeps one per
+  // queried source router.
+  EXPECT_LT(warm, walked.route_cache_bytes());
 }
 
 }  // namespace
