@@ -20,10 +20,11 @@
 // downloading even a small file dominates any per-node cost.
 //
 // The memory telemetry lands as scalars (route_cache_bytes, path_pool_bytes,
-// arena_peak_bytes), which the sweep engine turns into the bullet-ceilings-v1
-// companion document; CI gates the megaswarm sweep one-sidedly against the
-// committed ceilings (bench/baselines/megaswarm_ceilings.json) and against
-// the usual events/sec floors.
+// conn_state_bytes, arena_peak_bytes), which the sweep engine turns into the
+// bullet-ceilings-v1 companion document; CI gates the megaswarm sweep
+// one-sidedly against the committed ceilings
+// (bench/baselines/megaswarm_ceilings.json) and against the usual events/sec
+// floors.
 
 #include <algorithm>
 #include <cmath>
@@ -86,6 +87,7 @@ BULLET_SCENARIO(fig24_megaswarm,
   // counters, not RSS: identical for a given spec on every machine.
   report.AddScalar("route_cache_bytes", static_cast<double>(wl.route_cache_bytes));
   report.AddScalar("path_pool_bytes", static_cast<double>(wl.path_pool_bytes));
+  report.AddScalar("conn_state_bytes", static_cast<double>(wl.conn_state_bytes));
   report.AddScalar("arena_peak_bytes", static_cast<double>(wl.arena_peak_bytes));
   return report;
 }

@@ -2,15 +2,25 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
+
 namespace bullet {
 
 void CandidateSet::Add(uint32_t id) {
-  fifo_.push_back(id);
+  BULLET_CHECK(id < kConsumed && "CandidateSet: block id collides with the consumed bit");
   vec_.push_back(id);
+}
+
+void CandidateSet::BindStrategy(RequestStrategy strategy) {
+  if (!strategy_.has_value()) {
+    strategy_ = strategy;
+  }
+  BULLET_CHECK(strategy == *strategy_ && "CandidateSet: one set serves one request strategy");
 }
 
 std::optional<uint32_t> CandidateSet::Pick(RequestStrategy strategy, const ValidFn& valid,
                                            const RarityFn& rarity, Rng& rng) {
+  BindStrategy(strategy);
   switch (strategy) {
     case RequestStrategy::kFirstEncountered:
       return PickFirst(valid);
@@ -27,22 +37,30 @@ std::optional<uint32_t> CandidateSet::Pick(RequestStrategy strategy, const Valid
 std::optional<uint32_t> CandidateSet::PickWindowed(RequestStrategy strategy, const ValidFn& valid,
                                                    const ValidFn& eligible, const RarityFn& rarity,
                                                    Rng& rng) {
+  BindStrategy(strategy);
   if (strategy == RequestStrategy::kFirstEncountered) {
-    // Walk discovery order: drop invalid entries, retain ineligible ones, take
-    // the first valid + eligible candidate.
-    for (auto it = fifo_.begin(); it != fifo_.end();) {
-      const uint32_t id = *it;
+    // Walk discovery order: consume invalid entries, retain ineligible ones,
+    // take the first valid + eligible candidate.
+    std::optional<uint32_t> pick;
+    for (size_t i = head_; i < vec_.size(); ++i) {
+      const uint32_t id = vec_[i];
+      if ((id & kConsumed) != 0) {
+        continue;
+      }
       if (!valid(id)) {
-        it = fifo_.erase(it);
+        vec_[i] = id | kConsumed;
         continue;
       }
       if (eligible(id)) {
-        fifo_.erase(it);
-        return id;
+        vec_[i] = id | kConsumed;
+        pick = id;
+        break;
       }
-      ++it;
     }
-    return std::nullopt;
+    while (head_ < vec_.size() && (vec_[head_] & kConsumed) != 0) {
+      ++head_;
+    }
+    return pick;
   }
 
   // One pass over vec_: invalid entries are compacted away, ineligible ones
@@ -95,10 +113,9 @@ std::optional<uint32_t> CandidateSet::PickWindowed(RequestStrategy strategy, con
 }
 
 std::optional<uint32_t> CandidateSet::PickFirst(const ValidFn& valid) {
-  while (!fifo_.empty()) {
-    const uint32_t id = fifo_.front();
-    fifo_.pop_front();
-    if (valid(id)) {
+  while (head_ < vec_.size()) {
+    const uint32_t id = vec_[head_++];
+    if ((id & kConsumed) == 0 && valid(id)) {
       return id;
     }
   }
@@ -201,8 +218,9 @@ std::optional<uint32_t> CandidateSet::PickRarest(const ValidFn& valid, const Rar
 bool CandidateSet::RunningDry(size_t threshold, const ValidFn& valid) const {
   size_t found = 0;
   // Scan from the back (most recently discovered, most likely still valid).
+  // Consumed entries count too: they are ids, like any stale entry.
   for (size_t i = vec_.size(); i-- > 0;) {
-    if (valid(vec_[i])) {
+    if (valid(vec_[i] & ~kConsumed)) {
       ++found;
       if (found >= threshold) {
         return false;

@@ -15,7 +15,6 @@
 #define SRC_CORE_REQUEST_STRATEGY_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -31,6 +30,7 @@ class CandidateSet {
   using RarityFn = std::function<int(uint32_t)>;
 
   // Discovery-order append (duplicates allowed; validity filtering handles them).
+  // Ids must stay below 2^31 (the top bit marks consumed entries, see vec_).
   void Add(uint32_t id);
   // Re-adds an id (e.g. a request re-queued after a sender failed).
   void Readd(uint32_t id) { Add(id); }
@@ -40,6 +40,8 @@ class CandidateSet {
 
   // Picks the next block to request under `strategy`, or nullopt if no valid
   // candidate remains. Picked and stale entries are removed as encountered.
+  // A set serves one strategy: the first Pick/PickWindowed fixes it, and a
+  // later call with another strategy is a checked error.
   std::optional<uint32_t> Pick(RequestStrategy strategy, const ValidFn& valid,
                                const RarityFn& rarity, Rng& rng);
 
@@ -67,10 +69,21 @@ class CandidateSet {
   void RemoveAt(size_t index);
   void Compact(const ValidFn& valid);
 
-  // `fifo_` preserves discovery order for kFirstEncountered; `vec_` provides O(1)
-  // random access for the sampled strategies. Both may contain stale entries.
-  std::deque<uint32_t> fifo_;
+  void BindStrategy(RequestStrategy strategy);
+
+  // Top bit of a vec_ entry: consumed by a kFirstEncountered pick.
+  static constexpr uint32_t kConsumed = uint32_t{1} << 31;
+
+  // One store for every strategy, in discovery order; may contain stale
+  // entries. The sampled strategies remove entries (swap-with-back). Under
+  // kFirstEncountered nothing is removed: picks consume entries in order from
+  // head_ (a windowed pick may consume one past ineligible entries, which
+  // keeps it in place with the kConsumed bit), and every entry still counts
+  // toward RawSize and RunningDry — as with the former discovery-order queue
+  // kept beside a never-shrinking vector.
   std::vector<uint32_t> vec_;
+  size_t head_ = 0;  // kFirstEncountered: every entry before head_ is consumed
+  std::optional<RequestStrategy> strategy_;  // fixed by the first pick
 };
 
 }  // namespace bullet

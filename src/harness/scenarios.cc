@@ -132,6 +132,7 @@ ScenarioResult ToScenarioResult(const SessionResult& session, const WorkloadResu
   result.sim_bytes_sent = run.sim_bytes_sent;
   result.route_cache_bytes = run.route_cache_bytes;
   result.path_pool_bytes = run.path_pool_bytes;
+  result.conn_state_bytes = run.conn_state_bytes;
   result.arena_peak_bytes = run.arena_peak_bytes;
   return result;
 }

@@ -104,6 +104,7 @@ struct ScenarioResult {
   // WorkloadResult). Zero on mesh topologies / protocols without arena state.
   uint64_t route_cache_bytes = 0;
   uint64_t path_pool_bytes = 0;
+  uint64_t conn_state_bytes = 0;
   uint64_t arena_peak_bytes = 0;
 };
 

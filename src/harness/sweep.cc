@@ -543,8 +543,8 @@ namespace {
 
 // The deterministic memory-byte scalars the ceilings gate understands, in
 // emission order. Scenarios opt in by AddScalar-ing them (fig24_megaswarm).
-constexpr const char* kCeilingMetrics[] = {"arena_peak_bytes", "path_pool_bytes",
-                                           "route_cache_bytes"};
+constexpr const char* kCeilingMetrics[] = {"arena_peak_bytes", "conn_state_bytes",
+                                           "path_pool_bytes", "route_cache_bytes"};
 
 }  // namespace
 

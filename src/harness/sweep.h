@@ -156,8 +156,9 @@ void WriteSweepJson(std::ostream& os, const SweepRunOutcome& outcome);
 void WriteSweepFloorsJson(std::ostream& os, const SweepRunOutcome& outcome);
 
 // True when any run's report carries one of the deterministic memory-byte
-// scalars (route_cache_bytes / path_pool_bytes / arena_peak_bytes) — the
-// runner writes the ceilings companion only for such sweeps.
+// scalars (route_cache_bytes / path_pool_bytes / conn_state_bytes /
+// arena_peak_bytes) — the runner writes the ceilings companion only for such
+// sweeps.
 bool SweepHasCeilingMetrics(const SweepRunOutcome& outcome);
 
 // Serializes the companion bullet-ceilings-v1 document: per grid point, the

@@ -421,6 +421,7 @@ WorkloadResult WorkloadExperiment::Run() {
   result.sim_bytes_sent = static_cast<uint64_t>(net_->total_bytes_sent());
   result.route_cache_bytes = static_cast<uint64_t>(net_->route_cache_bytes());
   result.path_pool_bytes = static_cast<uint64_t>(net_->path_pool_bytes());
+  result.conn_state_bytes = static_cast<uint64_t>(net_->conn_state_bytes());
   result.arena_peak_bytes = static_cast<uint64_t>(net_->arena_peak_bytes());
   return result;
 }

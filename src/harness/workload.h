@@ -119,11 +119,13 @@ struct WorkloadResult {
   uint64_t allocator_epochs = 0;
   uint64_t sim_bytes_sent = 0;
   // Memory telemetry at the end of the run (deterministic byte counters, not
-  // RSS): routed-topology route cache, flow path pools, and the peak of the
-  // arena-backed per-node protocol state. See docs/ARCHITECTURE.md
-  // "Mega-swarm memory model"; the megaswarm sweep gates ceilings on these.
+  // RSS): routed-topology route cache, flow path pools, connection headers
+  // and bodies, and the peak of the arena-backed per-node protocol state. See
+  // docs/ARCHITECTURE.md "Mega-swarm memory model"; the megaswarm sweep gates
+  // ceilings on these.
   uint64_t route_cache_bytes = 0;
   uint64_t path_pool_bytes = 0;
+  uint64_t conn_state_bytes = 0;
   uint64_t arena_peak_bytes = 0;
 };
 

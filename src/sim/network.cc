@@ -72,7 +72,7 @@ Network::Conn* Network::GetConn(ConnId id) {
     if (static_cast<size_t>(id) >= conns_.size()) {
       return nullptr;
     }
-    return conns_[static_cast<size_t>(id)].get();
+    return &conns_[static_cast<size_t>(id)];
   }
   if (static_cast<size_t>(store) > partitions_.size()) {
     return nullptr;
@@ -104,19 +104,31 @@ int Network::EndpointIndex(const Conn& c, NodeId node) {
 void Network::FillPathCache(Conn& c, int i, std::vector<int32_t>& pool) {
   const NodeId src = c.node[i];
   const NodeId dst = c.node[1 - i];
+  PathCache& path = c.body->path[i];
   {
     BULLET_PROFILE_SCOPE(ProfilePhase::kTopologyMetrics);
-    c.path[i].path_delay = topology_->PathDelay(src, dst);
-    c.path[i].rtt = topology_->Rtt(src, dst);
-    c.path[i].loss = topology_->PathLoss(src, dst);
+    path.path_delay = topology_->PathDelay(src, dst);
+    path.rtt = topology_->Rtt(src, dst);
+    path.loss = topology_->PathLoss(src, dst);
   }
   {
     BULLET_PROFILE_SCOPE(ProfilePhase::kPathLookup);
     const Topology::PathView route = topology_->InteriorPath(src, dst);
-    c.path[i].interior_off = static_cast<uint32_t>(pool.size());
-    c.path[i].interior_len = route.size;
+    path.interior_off = static_cast<uint32_t>(pool.size());
+    path.interior_len = route.size;
     pool.insert(pool.end(), route.begin(), route.end());
   }
+}
+
+Network::ConnBody* Network::AcquireBody() {
+  if (free_bodies_.empty()) {
+    bodies_.push_back(std::make_unique<ConnBody>());
+    return bodies_.back().get();
+  }
+  ConnBody* body = free_bodies_.back();
+  free_bodies_.pop_back();
+  *body = ConnBody{};
+  return body;
 }
 
 // Establishment instant: TCP handshake done, directions with queued bytes go
@@ -128,11 +140,12 @@ void Network::RunEstablishment(ConnId id) {
   }
   c->established = true;
   for (int i = 0; i < 2; ++i) {
-    if (!c->dir[i].queue.empty()) {
-      c->dir[i].tcp.OnBecameActive(now(), config_.tcp);
+    Direction& dir = c->body->dir[i];
+    if (!dir.queue.empty()) {
+      dir.tcp.OnBecameActive(now(), config_.tcp);
       ActivateDirection(*c, i);
     } else {
-      c->dir[i].idle_since = now();
+      c->idle_since[i] = now();
     }
   }
   for (int i = 0; i < 2; ++i) {
@@ -154,14 +167,14 @@ ConnId Network::Connect(NodeId from, NodeId to) {
     }
   }
   const ConnId id = static_cast<ConnId>(conns_.size());
-  auto conn = std::make_unique<Conn>();
-  conn->id = id;
-  conn->node[0] = from;
-  conn->node[1] = to;
+  Conn& c = conns_.emplace_back();
+  c.id = id;
+  c.node[0] = from;
+  c.node[1] = to;
+  c.body = AcquireBody();
   for (int i = 0; i < 2; ++i) {
-    FillPathCache(*conn, i, path_pool_);
+    FillPathCache(c, i, path_pool_);
   }
-  conns_.push_back(std::move(conn));
   conn_busy_mask_.push_back(0);
   open_conns_.push_back(id);
 
@@ -217,7 +230,7 @@ void Network::CloseAt(ConnId conn_id, SimTime at) {
     return;
   }
   c->closed = true;
-  for (auto& dir : c->dir) {
+  for (auto& dir : c->body->dir) {
     if (c->established && !dir.queue.empty()) {
       --active_dirs_;
     }
@@ -286,7 +299,7 @@ bool Network::SendAt(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg, 
   if (idx < 0) {
     return false;
   }
-  Direction& dir = c->dir[idx];
+  Direction& dir = c->body->dir[idx];
   if (dir.queue.empty() && c->established) {
     dir.tcp.OnBecameActive(at, config_.tcp);
     ActivateDirection(*c, idx);
@@ -300,28 +313,30 @@ bool Network::SendAt(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg, 
 // Idle -> busy transition of an established direction: restart cap tracking and
 // mark the flow set dirty so the next quantum re-water-fills.
 void Network::ActivateDirection(Conn& c, int dir_idx) {
-  c.dir[dir_idx].cap_steady = false;
+  c.body->dir[dir_idx].cap_steady = false;
   BusyByte(c) |= static_cast<uint8_t>(1 << dir_idx);
   ++active_dirs_;
   alloc_dirty_ = true;
 }
 
+// The introspection calls answer a bodyless connection (not yet registered,
+// or closed and recycled) as an empty direction — what its body would say.
 size_t Network::QueuedMessages(ConnId conn_id, NodeId from) const {
   const Conn* c = GetConn(conn_id);
-  if (c == nullptr) {
+  if (c == nullptr || c->body == nullptr) {
     return 0;
   }
   const int idx = EndpointIndex(*c, from);
-  return idx < 0 ? 0 : c->dir[idx].queue.size();
+  return idx < 0 ? 0 : c->body->dir[idx].queue.size();
 }
 
 int64_t Network::QueuedBytes(ConnId conn_id, NodeId from) const {
   const Conn* c = GetConn(conn_id);
-  if (c == nullptr) {
+  if (c == nullptr || c->body == nullptr) {
     return 0;
   }
   const int idx = EndpointIndex(*c, from);
-  return idx < 0 ? 0 : c->dir[idx].queued_bytes;
+  return idx < 0 ? 0 : c->body->dir[idx].queued_bytes;
 }
 
 SimTime Network::IdleTime(ConnId conn_id, NodeId from) const {
@@ -330,19 +345,19 @@ SimTime Network::IdleTime(ConnId conn_id, NodeId from) const {
     return 0;
   }
   const int idx = EndpointIndex(*c, from);
-  if (idx < 0 || !c->dir[idx].queue.empty()) {
+  if (idx < 0 || (c->body != nullptr && !c->body->dir[idx].queue.empty())) {
     return 0;
   }
-  return now() - c->dir[idx].idle_since;
+  return now() - c->idle_since[idx];
 }
 
 double Network::CurrentRateBps(ConnId conn_id, NodeId from) const {
   const Conn* c = GetConn(conn_id);
-  if (c == nullptr) {
+  if (c == nullptr || c->body == nullptr) {
     return 0.0;
   }
   const int idx = EndpointIndex(*c, from);
-  return idx < 0 ? 0.0 : c->dir[idx].rate_bps;
+  return idx < 0 ? 0.0 : c->body->dir[idx].rate_bps;
 }
 
 int Network::CountFlowsOnInteriorLink(int32_t link_id) const {
@@ -353,11 +368,12 @@ int Network::CountFlowsOnInteriorLink(int32_t link_id) const {
       continue;
     }
     for (int i = 0; i < 2; ++i) {
-      if (c->dir[i].queued_bytes <= 0) {
+      const PathCache& path = c->body->path[i];
+      if (c->body->dir[i].queued_bytes <= 0) {
         continue;
       }
-      for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-           it != PathInteriorEnd(*c, c->path[i]); ++it) {
+      for (const int32_t* it = PathInteriorBegin(*c, path); it != PathInteriorEnd(*c, path);
+           ++it) {
         if (*it == link_id) {
           ++flows;
           break;
@@ -376,13 +392,14 @@ double Network::InteriorLinkAllocatedBps(int32_t link_id) const {
       continue;
     }
     for (int i = 0; i < 2; ++i) {
-      if (c->dir[i].queued_bytes <= 0) {
+      const PathCache& path = c->body->path[i];
+      if (c->body->dir[i].queued_bytes <= 0) {
         continue;
       }
-      for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-           it != PathInteriorEnd(*c, c->path[i]); ++it) {
+      for (const int32_t* it = PathInteriorBegin(*c, path); it != PathInteriorEnd(*c, path);
+           ++it) {
         if (*it == link_id) {
-          bps += c->dir[i].rate_bps;
+          bps += c->body->dir[i].rate_bps;
           break;
         }
       }
@@ -408,11 +425,16 @@ void Network::FailNode(NodeId node) {
 // exact pass the pre-PR tick ran every quantum. Batch shape matters: the
 // resulting permutation feeds the allocator, whose FP tie-breaking depends on
 // flow order, so closes are compacted per quantum boundary rather than one by
-// one at Close() time.
+// one at Close() time. A dropped connection's body goes to the free list; its
+// header keeps answering queries (see Conn).
 void Network::CompactOpenConns() {
   for (size_t i = 0; i < open_conns_.size();) {
-    const Conn* c = GetConn(open_conns_[i]);
+    Conn* c = GetConn(open_conns_[i]);
     if (c == nullptr || c->closed) {
+      if (c != nullptr && c->body != nullptr) {
+        free_bodies_.push_back(c->body);
+        c->body = nullptr;
+      }
       open_conns_[i] = open_conns_.back();
       open_conns_.pop_back();
     } else {
@@ -524,13 +546,13 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
   // any grouping of the evaluations gives the same caps and ramping total.
   const SimTime tick_now = queue_.now();
   auto eval_cap = [this, tick_now](Conn& c, int i) -> size_t {
-    Direction& dir = c.dir[i];
+    Direction& dir = c.body->dir[i];
     if (dir.cap_steady) {
       return 0;
     }
     bool steady = false;
-    dir.cap_cache =
-        TcpRateCapDetail(dir.tcp, tick_now, c.path[i].rtt, c.path[i].loss, config_.tcp, &steady);
+    const PathCache& path = c.body->path[i];
+    dir.cap_cache = TcpRateCapDetail(dir.tcp, tick_now, path.rtt, path.loss, config_.tcp, &steady);
     dir.cap_steady = steady;
     return steady ? 0 : 1;
   };
@@ -577,7 +599,7 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
       if (busy == 0) {
         continue;
       }
-      c = conns_[static_cast<size_t>(id)].get();
+      c = &conns_[static_cast<size_t>(id)];
     } else {
       c = GetConn(id);
       busy = c->busy;
@@ -594,12 +616,13 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
       flow_link_scratch_.clear();
       flow_link_scratch_.push_back(c->node[i]);
       flow_link_scratch_.push_back(static_cast<int32_t>(n) + c->node[1 - i]);
-      for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-           it != PathInteriorEnd(*c, c->path[i]); ++it) {
+      const PathCache& path = c->body->path[i];
+      for (const int32_t* it = PathInteriorBegin(*c, path); it != PathInteriorEnd(*c, path);
+           ++it) {
         flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
       }
       alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(),
-                         c->dir[i].cap_cache);
+                         c->body->dir[i].cap_cache);
       cached_flows_.push_back(CachedFlow{c, i});
     }
   }
@@ -639,7 +662,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
     if (c->closed) {
       continue;
     }
-    Direction& dir = c->dir[dir_idx];
+    Direction& dir = c->body->dir[dir_idx];
     if (dir.queue.empty()) {
       continue;
     }
@@ -658,7 +681,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
     if (!dir.queue.empty()) {
       dir.queue.front().remaining_bytes -= budget;
     } else {
-      dir.idle_since = now();
+      c->idle_since[dir_idx] = now();
       dir.rate_bps = 0.0;
       BusyByte(*c) &= static_cast<uint8_t>(~(1 << dir_idx));
       --active_dirs_;
@@ -688,19 +711,20 @@ void Network::TickFullRecompute(double dt_sec) {
       continue;
     }
     for (int i = 0; i < 2; ++i) {
-      Direction& dir = c->dir[i];
+      Direction& dir = c->body->dir[i];
       if (dir.queue.empty()) {
         dir.rate_bps = 0.0;
         continue;
       }
       const NodeId src = c->node[i];
       const NodeId dst = c->node[1 - i];
+      const PathCache& path = c->body->path[i];
       PathFlowSpec flow;
-      flow.links.reserve(2 + c->path[i].interior_len);
+      flow.links.reserve(2 + path.interior_len);
       flow.links.push_back(src);
       flow.links.push_back(static_cast<int32_t>(n) + dst);
-      for (const int32_t* pi = PathInteriorBegin(*c, c->path[i]);
-           pi != PathInteriorEnd(*c, c->path[i]); ++pi) {
+      for (const int32_t* pi = PathInteriorBegin(*c, path); pi != PathInteriorEnd(*c, path);
+           ++pi) {
         auto [it, inserted] = interior_ids.emplace(*pi, static_cast<int32_t>(capacities.size()));
         if (inserted) {
           capacities.push_back(topology_->interior_link(*pi).bandwidth_bps);
@@ -709,7 +733,7 @@ void Network::TickFullRecompute(double dt_sec) {
       }
       // The PathCache snapshot equals the live Rtt/PathLoss lookups the pre-PR
       // code performed here: delay and loss are static for a run's lifetime.
-      flow.cap_bps = TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, config_.tcp);
+      flow.cap_bps = TcpRateCapBps(dir.tcp, now(), path.rtt, path.loss, config_.tcp);
       flows.push_back(std::move(flow));
       flow_dirs.emplace_back(id, i);
     }
@@ -743,7 +767,7 @@ void Network::TickFullRecompute(double dt_sec) {
     if (c == nullptr || c->closed) {
       continue;
     }
-    Direction& dir = c->dir[dir_idx];
+    Direction& dir = c->body->dir[dir_idx];
     dir.rate_bps = flows[fi].rate_bps;
     dir.tcp.last_busy = now();
     double budget = dir.rate_bps / 8.0 * dt_sec;
@@ -758,7 +782,7 @@ void Network::TickFullRecompute(double dt_sec) {
     if (!dir.queue.empty()) {
       dir.queue.front().remaining_bytes -= budget;
     } else {
-      dir.idle_since = now();
+      c->idle_since[dir_idx] = now();
       dir.rate_bps = 0.0;
       conn_busy_mask_[static_cast<size_t>(conn_id)] &= static_cast<uint8_t>(~(1 << dir_idx));
       --active_dirs_;
@@ -768,8 +792,8 @@ void Network::TickFullRecompute(double dt_sec) {
 }
 
 void Network::EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::unique_ptr<Message> msg) {
-  const PathCache& path = c.path[sender_idx];
-  Direction& dir = c.dir[sender_idx];
+  const PathCache& path = c.body->path[sender_idx];
+  Direction& dir = c.body->dir[sender_idx];
 
   SimTime delivered_at = now() + path.path_delay;
   if (config_.loss_latency) {
@@ -837,6 +861,14 @@ size_t Network::path_pool_bytes() const {
     bytes += part->path_pool.capacity() * sizeof(int32_t);
   }
   return bytes;
+}
+
+size_t Network::conn_state_bytes() const {
+  size_t headers = conns_.size();
+  for (const auto& part : partitions_) {
+    headers += part->conns.size_relaxed();
+  }
+  return headers * sizeof(Conn) + bodies_.size() * sizeof(ConnBody);
 }
 
 void Network::Stop() {
@@ -1008,12 +1040,14 @@ void Network::MergeStaged() {
           break;
         case StagedCmd::Kind::kConnect: {
           Conn* c = GetConn(cmd.conn);
+          c->body = AcquireBody();
           for (int i = 0; i < 2; ++i) {
             FillPathCache(*c, i, part.path_pool);
           }
           open_conns_.push_back(cmd.conn);
           const ConnId id = cmd.conn;
-          queue_.Schedule(cmd.at + c->path[0].rtt * 3 / 2, [this, id] { RunEstablishment(id); });
+          queue_.Schedule(cmd.at + c->body->path[0].rtt * 3 / 2,
+                          [this, id] { RunEstablishment(id); });
           break;
         }
         case StagedCmd::Kind::kGlobal:

@@ -98,6 +98,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -283,6 +284,13 @@ class Network {
   // Pooled per-connection interior-route slices, every store (main +
   // partition pools).
   size_t path_pool_bytes() const;
+  // Connection state held: the header of every connection ever opened (all
+  // stores) plus every body, attached or on the free list. Headers grow with
+  // connections opened; bodies with the peak of open_conn_entries().
+  size_t conn_state_bytes() const;
+  // Connection bodies held, attached or free; never more than the run's peak
+  // open_conn_entries().
+  size_t conn_bodies_held() const { return bodies_.size(); }
   // Protocol node-state arenas registered via arena_counter(): live bytes now
   // and the run's peak.
   int64_t arena_current_bytes() const { return arena_counter_.current_bytes(); }
@@ -340,7 +348,6 @@ class Network {
     double rate_bps = 0.0;
     TcpFlowState tcp;
     SimTime delivery_floor = 0;  // enforces in-order delivery
-    SimTime idle_since = 0;      // valid when queue is empty
 
     // TCP-cap cache for the incremental tick. Once `cap_steady`, `cap_cache` is
     // the exact value TcpRateCapBps would return for the rest of the busy
@@ -359,8 +366,8 @@ class Network {
   // than a per-direction vector: the allocator rebuild walks every busy
   // direction's route each epoch, and one contiguous pool turns those walks
   // into sequential reads instead of a heap-pointer chase per direction (and
-  // drops two vector allocations per Connect). The pool only grows — conns_
-  // never erases — so slices stay valid for the connection's lifetime.
+  // drops two vector allocations per Connect). The pool only grows, so slices
+  // stay valid for the connection's lifetime.
   struct PathCache {
     SimTime path_delay = 0;
     SimTime rtt = 0;
@@ -369,17 +376,38 @@ class Network {
     uint32_t interior_len = 0;
   };
 
+  // The state only an open connection needs. A body is attached while the
+  // connection sits in open_conns_ and is recycled through free_bodies_ once
+  // compaction drops the closed connection from that list, so bodies held
+  // track the peak of open connections, not every connection ever opened.
+  // Only the coordinator attaches, mutates and recycles bodies (worker sends
+  // are staged), so recycling happens at quantum boundaries / barriers.
+  struct ConnBody {
+    Direction dir[2];   // dir[i] carries node[i] -> node[1-i]
+    PathCache path[2];  // path[i] describes node[i] -> node[1-i]
+  };
+
+  // Connection header: identity and everything a closed connection still
+  // answers (IsOpen, Send, the queue introspection calls). Headers are never
+  // freed or reused, so a ConnId stays valid for the run.
   struct Conn {
     ConnId id = -1;
     NodeId node[2] = {-1, -1};
-    Direction dir[2];   // dir[i] carries node[i] -> node[1-i]
-    PathCache path[2];  // path[i] describes node[i] -> node[1-i]
-    bool established = false;
-    bool closed = false;
+    // Per direction: when its queue last drained (valid while it is empty).
+    SimTime idle_since[2] = {0, 0};
+    // Set for every connection in open_conns_, which is every open one the
+    // coordinator can reach (a worker's Connect registers at the barrier,
+    // before any command that names the new id). Null before that
+    // registration, when every query answers as an empty direction, and
+    // after compaction recycled a closed connection's body (its queues were
+    // emptied at Close, so the answers do not change).
+    ConnBody* body = nullptr;
     // Which backing store holds this connection: 0 = the main conns_ table,
     // p + 1 = partition p's ConnStore (worker-opened under the parallel
     // engine). Selects the path pool and the busy-byte location.
     int32_t store = 0;
+    bool established = false;
+    bool closed = false;
     // Busy-direction bits for store != 0 connections (the conn_busy_mask_
     // flat vector only spans the main table). Mutated only at barriers.
     uint8_t busy = 0;
@@ -489,6 +517,8 @@ class Network {
   void AllocatorTick();
   void TickFullRecompute(double dt_sec);
   void CompactOpenConns();
+  // A reset body from the free list, or a new one when the list is empty.
+  ConnBody* AcquireBody();
   bool CapacitiesUnchanged() const;
   void RebuildAndAllocate(bool base_caps_unchanged);
   void AdvanceTransmissions(double dt_sec);
@@ -528,7 +558,12 @@ class Network {
   EventQueue queue_;
 
   std::vector<NetHandler*> handlers_;
-  std::vector<std::unique_ptr<Conn>> conns_;  // indexed by ConnId, never reused
+  // Store-0 headers, indexed by ConnId, never reused. push_back never moves
+  // a deque's elements, so cached_flows_ may point at them.
+  std::deque<Conn> conns_;
+  // Every body ever made (stable addresses) and the free ones among them.
+  std::vector<std::unique_ptr<ConnBody>> bodies_;
+  std::vector<ConnBody*> free_bodies_;
   // Pooled PathCache interior routes (see PathCache); append-only.
   std::vector<int32_t> path_pool_;
   std::vector<ConnId> open_conns_;            // compacted on quantum boundaries
@@ -552,8 +587,10 @@ class Network {
   // Live/peak bytes of protocol node-state arenas (see arena_counter()).
   ArenaCounter arena_counter_;
   // (conn, direction) per allocated flow, in allocation order; parallel to
-  // alloc_.rates(). Valid until the next rebuild. Conn objects are heap-pinned
-  // (conns_ holds unique_ptrs and never erases), so raw pointers stay valid.
+  // alloc_.rates(). Valid until the next rebuild. Conn headers never move, so
+  // raw pointers stay valid. A body is recycled only for a closed connection,
+  // and every close marks the allocation dirty, so the list is rebuilt before
+  // AdvanceTransmissions reads a flow whose body may have gone back.
   struct CachedFlow {
     Conn* conn;
     int dir_idx;

@@ -3,14 +3,16 @@
 // At 10^5 members the per-node std::map peer tables dominate RSS: every entry
 // is its own malloc (red-black node header + allocator metadata per peer), and
 // the allocator never returns freed nodes to a shared pool. PooledArena hands
-// out stable typed slots from chunked slabs with an intrusive free list, so a
-// node's peer table costs a handful of slab allocations however often peers
-// churn, and an ArenaCounter aggregates live/peak bytes across every node for
-// the memory telemetry the harness reports (WorkloadResult::arena_bytes).
+// out stable typed slots from geometrically growing slabs with a free list, so
+// a node's peer table costs a handful of slab allocations however often peers
+// churn and owns few slots while it holds few peers, and an ArenaCounter
+// aggregates live/peak bytes across every node for the memory telemetry the
+// harness reports (WorkloadResult::arena_peak_bytes).
 
 #ifndef SRC_SIM_SCALE_ARENA_H_
 #define SRC_SIM_SCALE_ARENA_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -41,19 +43,23 @@ class ArenaCounter {
   std::atomic<int64_t> peak_{0};
 };
 
-// Chunked typed arena: stable addresses (slabs never move), freed slots reused
-// LIFO. The owner destroys live objects (Delete) before the arena dies; the
-// arena only reclaims slab memory.
-template <typename T, size_t kChunkEntries = 32>
+// Slab-growing typed arena: stable addresses (slabs never move), freed slots
+// reused LIFO. Slabs grow geometrically — 2, 4, 8, 16 entries, then
+// kMaxSlabEntries each — so a table that never holds more than k entries owns
+// at most 2k + 2 slots (most peer tables stay small), while a large table
+// still grows in full-size slabs. The owner destroys live objects (Delete)
+// before the arena dies; the arena only reclaims slab memory.
+template <typename T, size_t kMaxSlabEntries = 32>
 class PooledArena {
+  static_assert(kMaxSlabEntries >= 2, "the first slab holds two entries");
+
  public:
   explicit PooledArena(ArenaCounter* counter = nullptr) : counter_(counter) {}
   PooledArena(PooledArena&&) = default;
   PooledArena& operator=(PooledArena&&) = default;
   ~PooledArena() {
     if (counter_ != nullptr) {
-      counter_->Add(-static_cast<int64_t>(chunks_.size() * sizeof(Chunk)) -
-                    static_cast<int64_t>(free_.capacity() * sizeof(T*)));
+      counter_->Add(-static_cast<int64_t>(allocated_bytes()));
     }
   }
 
@@ -79,32 +85,50 @@ class PooledArena {
     }
   }
 
+  // Entry slots owned (live + free), across every slab.
+  size_t slot_capacity() const {
+    size_t slots = 0;
+    for (size_t i = 0; i < slabs_.size(); ++i) {
+      slots += SlabEntries(i);
+    }
+    return slots;
+  }
   size_t allocated_bytes() const {
-    return chunks_.size() * sizeof(Chunk) + free_.capacity() * sizeof(T*);
+    return slot_capacity() * sizeof(Slot) + free_.capacity() * sizeof(T*);
   }
 
  private:
-  struct Chunk {
-    alignas(alignof(T)) unsigned char bytes[sizeof(T) * kChunkEntries];
+  struct Slot {
+    alignas(alignof(T)) unsigned char bytes[sizeof(T)];
   };
 
+  // Entries in slab `index`: 2 << index, capped at kMaxSlabEntries.
+  static size_t SlabEntries(size_t index) {
+    size_t entries = 2;
+    for (size_t i = 0; i < index && entries < kMaxSlabEntries; ++i) {
+      entries *= 2;
+    }
+    return std::min(entries, kMaxSlabEntries);
+  }
+
   void Grow() {
+    const size_t entries = SlabEntries(slabs_.size());
     const size_t before = free_.capacity() * sizeof(T*);
-    chunks_.push_back(std::make_unique<Chunk>());
-    unsigned char* base = chunks_.back()->bytes;
-    free_.reserve(free_.size() + kChunkEntries);
+    slabs_.push_back(std::unique_ptr<Slot[]>(new Slot[entries]));
+    Slot* base = slabs_.back().get();
+    free_.reserve(free_.size() + entries);
     // Push in reverse so slots are handed out front-to-back within a slab.
-    for (size_t i = kChunkEntries; i-- > 0;) {
-      free_.push_back(reinterpret_cast<T*>(base + i * sizeof(T)));
+    for (size_t i = entries; i-- > 0;) {
+      free_.push_back(reinterpret_cast<T*>(base[i].bytes));
     }
     if (counter_ != nullptr) {
-      counter_->Add(static_cast<int64_t>(sizeof(Chunk)) +
+      counter_->Add(static_cast<int64_t>(entries * sizeof(Slot)) +
                     static_cast<int64_t>(free_.capacity() * sizeof(T*) - before));
     }
   }
 
   ArenaCounter* counter_ = nullptr;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<std::unique_ptr<Slot[]>> slabs_;
   std::vector<T*> free_;
 };
 

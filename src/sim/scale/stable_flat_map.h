@@ -2,7 +2,7 @@
 //
 // Drop-in for the std::map peer tables in Bullet'/BitTorrent node state, built
 // for the mega-swarm regime (100k nodes x tens of peers): entries live in a
-// PooledArena (chunked slabs, stable addresses, LIFO slot reuse), membership
+// PooledArena (geometric slabs, stable addresses, LIFO slot reuse), membership
 // is an open-addressing hash table (splitmix64-mixed keys, linear probing,
 // tombstone deletion), and iteration walks a sorted pointer index so the
 // traversal order is ascending by key — byte-identical to the std::map order
@@ -148,6 +148,9 @@ class StableFlatMap {
     std::fill(table_.begin(), table_.end(), nullptr);
     table_used_ = 0;
   }
+
+  // Entry slots the table's arena owns (live + free); see PooledArena.
+  size_t slot_capacity() const { return arena_.slot_capacity(); }
 
   // Bytes held beyond the entries themselves (arena slabs are counted by the
   // arena); exposed for tests pinning the telemetry.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -158,6 +159,78 @@ TEST(StableFlatMap, ChurnDoesNotRatchetMemory) {
     }
   }
   EXPECT_EQ(counter.current_bytes() + map.SideBytes(), settled);
+}
+
+TEST(PooledArena, SlabsFollowTheGeometricSchedule) {
+  // Slabs of 2, 4, 8, 16, then 32 entries: the slot total after each growth.
+  ArenaCounter counter;
+  {
+    PooledArena<uint64_t> arena(&counter);
+    EXPECT_EQ(arena.slot_capacity(), 0u);
+    const size_t expected_after_growth[] = {2, 6, 14, 30, 62, 94, 126, 158};
+    std::vector<uint64_t*> live;
+    size_t growths = 0;
+    for (int i = 0; i < 150; ++i) {
+      const size_t before = arena.slot_capacity();
+      live.push_back(arena.New(static_cast<uint64_t>(i)));
+      if (arena.slot_capacity() != before) {
+        ASSERT_LT(growths, sizeof(expected_after_growth) / sizeof(expected_after_growth[0]));
+        EXPECT_EQ(arena.slot_capacity(), expected_after_growth[growths]) << "growth " << growths;
+        // A slab is added only when every slot is taken.
+        EXPECT_EQ(before, live.size() - 1);
+        ++growths;
+      }
+    }
+    EXPECT_EQ(growths, 8u);  // 150 entries fit in 158 slots
+    EXPECT_EQ(static_cast<size_t>(counter.current_bytes()), arena.allocated_bytes());
+    // Freed slots are reused LIFO and never add a slab.
+    uint64_t* last = live.back();
+    arena.Delete(last);
+    EXPECT_EQ(arena.New(uint64_t{7}), last);
+    EXPECT_EQ(arena.slot_capacity(), 158u);
+    for (uint64_t* p : live) {
+      arena.Delete(p);
+    }
+  }
+  EXPECT_EQ(counter.current_bytes(), 0);
+}
+
+TEST(PooledArena, MovedFromArenaReleasesNothing) {
+  // Slabs move with the arena; only the arena that owns them uncharges them.
+  ArenaCounter counter;
+  {
+    PooledArena<uint64_t> source(&counter);
+    std::vector<uint64_t*> live;
+    for (int i = 0; i < 40; ++i) {
+      live.push_back(source.New(static_cast<uint64_t>(i)));
+    }
+    PooledArena<uint64_t> moved(std::move(source));
+    EXPECT_EQ(moved.slot_capacity(), 62u);
+    EXPECT_EQ(static_cast<size_t>(counter.current_bytes()), moved.allocated_bytes());
+    for (uint64_t* p : live) {
+      moved.Delete(p);
+    }
+  }
+  EXPECT_EQ(counter.current_bytes(), 0);
+}
+
+TEST(StableFlatMap, TableOwnsAtMostTwicePeakEntriesPlusTwo) {
+  // A table whose size never exceeded k owns at most 2k + 2 entry slots, under
+  // any mix of inserts and erases (peer sets churn far below their cap).
+  Rng rng(17);
+  for (size_t cap = 0; cap <= 70; ++cap) {
+    StableFlatMap<uint64_t, int> map;
+    size_t peak = 0;
+    for (int op = 0; op < 400; ++op) {
+      if (map.size() < cap && rng.Bernoulli(0.6)) {
+        map.emplace(static_cast<uint64_t>(rng.UniformInt(0, 1000)), op);
+      } else if (!map.empty()) {
+        map.erase(map.begin());
+      }
+      peak = std::max(peak, map.size());
+      ASSERT_LE(map.slot_capacity(), 2 * peak + 2) << "cap " << cap << " op " << op;
+    }
+  }
 }
 
 }  // namespace
