@@ -7,9 +7,8 @@
 //     interior routes are composed from shared transit segments instead of
 //     being cached whole, so route memory scales with the router graph, not
 //     with member pairs;
-//   * aggregated flows (NetworkConfig::aggregate_flows) — the allocator
-//     water-fills bundles of flows sharing an interior route, bounding epoch
-//     cost by router pairs instead of live flows;
+//   * the exact max-min allocator every other scenario runs, so fig24's
+//     rates are the same water-fill the paper-scale figures use;
 //   * arena-backed node state — the per-node peer tables live in pooled
 //     arenas whose live/peak bytes the run reports.
 //
@@ -40,8 +39,8 @@ namespace {
 BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(fig24_megaswarm);
 
 BULLET_SCENARIO(fig24_megaswarm,
-                "Extension — mega-swarm: 100k-member flash crowd on compressed routes, "
-                "aggregated flows and arena node state") {
+                "Extension — mega-swarm: 100k-member flash crowd on composed routes, "
+                "exact max-min rates and arena node state") {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kTransitStub;
   cfg.num_nodes = 100000;
@@ -52,7 +51,6 @@ BULLET_SCENARIO(fig24_megaswarm,
   cfg.block_bytes = 64 * 1024;
   cfg.seed = 2401;
   cfg.deadline = SecToSim(7200.0);
-  cfg.aggregate_flows = true;
   ApplyScenarioOptions(opts, &cfg);
   // The scenario *is* the mega-swarm routed graph; like fig17/perf_core_*,
   // a --topology override does not apply.

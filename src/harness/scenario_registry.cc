@@ -1,9 +1,11 @@
 #include "src/harness/scenario_registry.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "src/harness/flag_parse.h"
@@ -14,363 +16,86 @@
 namespace bullet {
 namespace {
 
-bool IsIntegral(double v) { return v == std::floor(v); }
+constexpr ScenarioOptionDef::Range kPositive{0.0, std::numeric_limits<double>::infinity(),
+                                             /*lo_open=*/true};
+constexpr ScenarioOptionDef::Range kUnitInterval{0.0, 1.0};
 
-bool IsChurnModelName(const std::string& text) {
+bool IsTopology(const std::string& text, std::string* accepts) {
+  *accepts = "'mesh' or 'transit-stub'";
+  ScenarioConfig::Topo topo;
+  return ParseTopologyName(text, &topo);
+}
+
+bool IsProtocolKey(const std::string& text, std::string* accepts) {
+  EnsureBuiltinProtocolsRegistered();
+  std::string known;
+  for (const ProtocolRegistry::Entry* entry : ProtocolRegistry::Global().List()) {
+    known += known.empty() ? entry->key : ", " + entry->key;
+  }
+  *accepts = "a registered protocol (" + known + ")";
+  return ProtocolRegistry::Global().Find(text) != nullptr;
+}
+
+bool IsChurnModelName(const std::string& text, std::string* accepts) {
+  *accepts = "one of none, leaf, stub, gateway";
   return text == "none" || text == "leaf" || text == "stub" || text == "gateway";
+}
+
+bool ParseStrict(const std::string& text, double* v) { return ParseStrictDouble(text, v); }
+bool ParseStrict(const std::string& text, int64_t* v) { return ParseStrictInt64(text, v); }
+bool ParseStrict(const std::string& text, uint64_t* v) { return ParseStrictUint64(text, v); }
+
+bool InRange(const ScenarioOptionDef::Range& r, double v) {
+  return (r.lo_open ? v > r.lo : v >= r.lo) && v <= r.hi;
+}
+
+// Copies a set option onto its config field.
+template <typename T, typename U>
+void Override(const std::optional<T>& option, U* field) {
+  if (option) {
+    *field = static_cast<U>(*option);
+  }
+}
+
+std::string FormatBound(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  return buf;
 }
 
 }  // namespace
 
 const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
   // Row order is the requested_options emission order; committed BENCH
-  // baselines pin it, so new options go at the end (after the never-echoed
-  // --loss row, which keeps its historical position out of the echo entirely).
+  // baselines pin it, so new options go at the end.
   static const std::vector<ScenarioOptionDef>* table = new std::vector<ScenarioOptionDef>{
-      {"--nodes", "nodes", "nodes", ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--nodes requires an integer in [2, 1000000]",
-       "nodes values must be integers in [2, 1000000]",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || v < 2 || v > 1000000) {
-           return false;
-         }
-         opts->nodes = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return IsIntegral(v) && v >= 2 && v <= 1000000; },
-       [](double v, ScenarioOptions* opts) { opts->nodes = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.nodes) {
-           cfg->num_nodes = *opts.nodes;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.nodes) {
-           json->Field("nodes", *opts.nodes);
-         }
-       }},
-      {"--file-mb", "file-mb", "file_mb", ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--file-mb requires a positive number", "file-mb values must be positive",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v <= 0.0) {
-           return false;
-         }
-         opts->file_mb = v;
-         return true;
-       },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->file_mb = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.file_mb) {
-           cfg->file_mb = *opts.file_mb;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.file_mb) {
-           json->Field("file_mb", *opts.file_mb);
-         }
-       }},
-      {"--seed", "seed", "seed", ScenarioOptionDef::Kind::kNumber, /*sweepable=*/false,
-       "--seed requires a non-negative integer", nullptr,
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         uint64_t v = 0;
-         if (!ParseStrictUint64(text, &v)) {
-           return false;
-         }
-         opts->seed = v;
-         return true;
-       },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.seed) {
-           cfg->seed = *opts.seed;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.seed) {
-           json->Field("seed", *opts.seed);
-         }
-       }},
-      {"--block-bytes", "block-bytes", "block_bytes", ScenarioOptionDef::Kind::kNumber,
-       /*sweepable=*/true, "--block-bytes requires an integer >= 512",
-       "block-bytes values must be integers >= 512",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || v < 512) {
-           return false;
-         }
-         opts->block_bytes = v;
-         return true;
-       },
-       [](double v) { return IsIntegral(v) && v >= 512; },
-       [](double v, ScenarioOptions* opts) { opts->block_bytes = static_cast<int64_t>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.block_bytes) {
-           cfg->block_bytes = *opts.block_bytes;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.block_bytes) {
-           json->Field("block_bytes", *opts.block_bytes);
-         }
-       }},
-      {"--deadline-sec", "deadline-sec", "deadline_sec", ScenarioOptionDef::Kind::kNumber,
-       /*sweepable=*/true, "--deadline-sec requires a positive number",
-       "deadline-sec values must be positive",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v <= 0.0) {
-           return false;
-         }
-         opts->deadline_sec = v;
-         return true;
-       },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->deadline_sec = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.deadline_sec) {
-           cfg->deadline = SecToSim(*opts.deadline_sec);
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.deadline_sec) {
-           json->Field("deadline_sec", *opts.deadline_sec);
-         }
-       }},
-      {"--topology", "topology", "topology", ScenarioOptionDef::Kind::kString,
-       /*sweepable=*/false, "--topology requires 'mesh' or 'transit-stub'", nullptr,
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         ScenarioConfig::Topo topo;
-         if (!ParseTopologyName(text, &topo)) {
-           return false;
-         }
-         opts->topology = text;
-         return true;
-       },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.topology) {
-           // Unknown names were already rejected by the CLI parser; a stale
-           // string reaching this point keeps the scenario's registered
-           // topology.
-           ParseTopologyName(*opts.topology, &cfg->topo);
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.topology) {
-           json->Field("topology", *opts.topology);
-         }
-       }},
-      {"--system", "system", "system", ScenarioOptionDef::Kind::kString, /*sweepable=*/false,
-       "--system requires a registered protocol", nullptr,
-       [](const std::string& text, ScenarioOptions* opts, std::string* error) {
-         EnsureBuiltinProtocolsRegistered();
-         if (ProtocolRegistry::Global().Find(text) == nullptr) {
-           std::string known;
-           for (const ProtocolRegistry::Entry* entry : ProtocolRegistry::Global().List()) {
-             known += known.empty() ? entry->key : ", " + entry->key;
-           }
-           *error = "--system requires a registered protocol (" + known + ")";
-           return false;
-         }
-         opts->system = text;
-         return true;
-       },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.system) {
-           // CLI-validated (against ProtocolRegistry::Global()).
-           cfg->system = *opts.system;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.system) {
-           json->Field("system", *opts.system);
-         }
-       }},
-      {"--join-fraction", "join-fraction", "join_fraction", ScenarioOptionDef::Kind::kNumber,
-       /*sweepable=*/true, "--join-fraction requires a number in [0, 1]",
-       "join-fraction values must be in [0, 1]",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v < 0.0 || v > 1.0) {
-           return false;
-         }
-         opts->join_fraction = v;
-         return true;
-       },
-       [](double v) { return v >= 0.0 && v <= 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->join_fraction = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.join_fraction) {
-           cfg->join_fraction = *opts.join_fraction;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.join_fraction) {
-           json->Field("join_fraction", *opts.join_fraction);
-         }
-       }},
-      {"--loss", "loss", nullptr, ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--loss requires a number in [0, 1]", "loss values must be in [0, 1]",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v < 0.0 || v > 1.0) {
-           return false;
-         }
-         opts->loss = v;
-         return true;
-       },
-       [](double v) { return v >= 0.0 && v <= 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->loss = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.loss) {
-           cfg->loss_min = 0.0;
-           cfg->loss_max = *opts.loss;
-         }
-       },
-       nullptr},
-      {"--lifetime-pareto-alpha", "lifetime-pareto-alpha", "lifetime_pareto_alpha",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--lifetime-pareto-alpha requires a positive number",
-       "lifetime-pareto-alpha values must be positive",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v <= 0.0) {
-           return false;
-         }
-         opts->lifetime_pareto_alpha = v;
-         return true;
-       },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->lifetime_pareto_alpha = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.lifetime_pareto_alpha) {
-           cfg->lifetime_pareto_alpha = *opts.lifetime_pareto_alpha;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.lifetime_pareto_alpha) {
-           json->Field("lifetime_pareto_alpha", *opts.lifetime_pareto_alpha);
-         }
-       }},
-      {"--churn-model", "churn-model", "churn_model", ScenarioOptionDef::Kind::kString,
-       /*sweepable=*/true, "--churn-model requires one of none, leaf, stub, gateway",
-       "churn-model values must be one of none, leaf, stub, gateway",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         if (!IsChurnModelName(text)) {
-           return false;
-         }
-         opts->churn_model = text;
-         return true;
-       },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.churn_model) {
-           cfg->churn_model = *opts.churn_model;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.churn_model) {
-           json->Field("churn_model", *opts.churn_model);
-         }
-       }},
-      {"--stream-bitrate-mbps", "stream-bitrate-mbps", "stream_bitrate_mbps",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--stream-bitrate-mbps requires a positive number",
-       "stream-bitrate-mbps values must be positive",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v <= 0.0) {
-           return false;
-         }
-         opts->stream_bitrate_mbps = v;
-         return true;
-       },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->stream_bitrate_mbps = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.stream_bitrate_mbps) {
-           cfg->stream_bitrate_mbps = *opts.stream_bitrate_mbps;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.stream_bitrate_mbps) {
-           json->Field("stream_bitrate_mbps", *opts.stream_bitrate_mbps);
-         }
-       }},
-      {"--stream-window-blocks", "stream-window-blocks", "stream_window_blocks",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--stream-window-blocks requires a positive integer",
-       "stream-window-blocks values must be positive integers",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || v < 1 || v > 1000000) {
-           return false;
-         }
-         opts->stream_window_blocks = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return IsIntegral(v) && v >= 1 && v <= 1000000; },
-       [](double v, ScenarioOptions* opts) { opts->stream_window_blocks = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.stream_window_blocks) {
-           cfg->stream_window_blocks = *opts.stream_window_blocks;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.stream_window_blocks) {
-           json->Field("stream_window_blocks", *opts.stream_window_blocks);
-         }
-       }},
-      {"--threads", "threads", "threads", ScenarioOptionDef::Kind::kNumber,
-       /*sweepable=*/true, "--threads requires an integer in [1, 64]",
-       "threads values must be integers in [1, 64]",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || v < 1 || v > 64) {
-           return false;
-         }
-         opts->threads = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return IsIntegral(v) && v >= 1 && v <= 64; },
-       [](double v, ScenarioOptions* opts) { opts->threads = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.threads) {
-           cfg->num_threads = *opts.threads;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.threads) {
-           json->Field("threads", *opts.threads);
-         }
-       }},
-      {"--aggregate-flows", "aggregate-flows", "aggregate_flows",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--aggregate-flows requires 0 or 1", "aggregate-flows values must be 0 or 1",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || (v != 0 && v != 1)) {
-           return false;
-         }
-         opts->aggregate_flows = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return v == 0.0 || v == 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->aggregate_flows = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.aggregate_flows) {
-           cfg->aggregate_flows = *opts.aggregate_flows != 0;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.aggregate_flows) {
-           json->Field("aggregate_flows", *opts.aggregate_flows);
-         }
-       }},
+      {.key = "nodes", .field = &ScenarioOptions::nodes, .range = {2, 1000000},
+       .sweepable = true},
+      {.key = "file-mb", .field = &ScenarioOptions::file_mb, .range = kPositive,
+       .sweepable = true},
+      {.key = "seed", .field = &ScenarioOptions::seed},
+      {.key = "block-bytes", .field = &ScenarioOptions::block_bytes, .range = {512},
+       .sweepable = true},
+      {.key = "deadline-sec", .field = &ScenarioOptions::deadline_sec, .range = kPositive,
+       .sweepable = true},
+      {.key = "topology", .field = &ScenarioOptions::topology, .validate = IsTopology},
+      {.key = "system", .field = &ScenarioOptions::system, .validate = IsProtocolKey},
+      {.key = "join-fraction", .field = &ScenarioOptions::join_fraction,
+       .range = kUnitInterval, .sweepable = true},
+      // Never echoed: requested_options has always omitted it, and committed
+      // baselines pin that.
+      {.key = "loss", .field = &ScenarioOptions::loss, .range = kUnitInterval,
+       .sweepable = true, .echoed = false},
+      {.key = "lifetime-pareto-alpha", .field = &ScenarioOptions::lifetime_pareto_alpha,
+       .range = kPositive, .sweepable = true},
+      {.key = "churn-model", .field = &ScenarioOptions::churn_model,
+       .validate = IsChurnModelName, .sweepable = true},
+      {.key = "stream-bitrate-mbps", .field = &ScenarioOptions::stream_bitrate_mbps,
+       .range = kPositive, .sweepable = true},
+      {.key = "stream-window-blocks", .field = &ScenarioOptions::stream_window_blocks,
+       .range = {1, 1000000}, .sweepable = true},
+      {.key = "threads", .field = &ScenarioOptions::threads, .range = {1, 64},
+       .sweepable = true},
   };
   return *table;
 }
@@ -394,10 +119,118 @@ std::string SweepableOptionKeys() {
   return keys;
 }
 
-void ApplyScenarioOptions(const ScenarioOptions& opts, ScenarioConfig* cfg) {
-  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
-    def.apply_config(opts, cfg);
+std::string ScenarioOptionAccepts(const ScenarioOptionDef& def) {
+  if (def.is_string()) {
+    std::string accepts;
+    def.validate("", &accepts);
+    return accepts;
   }
+  const ScenarioOptionDef::Range& r = def.range;
+  const std::string noun = def.is_integer() ? "integer" : "number";
+  const std::string a_noun = def.is_integer() ? "an integer" : "a number";
+  if (r.hi < std::numeric_limits<double>::infinity()) {
+    return a_noun + " in [" + FormatBound(r.lo) + ", " + FormatBound(r.hi) + "]";
+  }
+  if (r.lo == 0.0) {
+    return (r.lo_open ? "a positive " : "a non-negative ") + noun;
+  }
+  return a_noun + " >= " + FormatBound(r.lo);
+}
+
+bool ParseScenarioOption(const ScenarioOptionDef& def, const std::string& text,
+                         ScenarioOptions* opts) {
+  return std::visit(
+      [&](auto field) {
+        using T = typename std::remove_reference_t<decltype(opts->*field)>::value_type;
+        if constexpr (std::is_same_v<T, std::string>) {
+          std::string accepts;
+          if (!def.validate(text, &accepts)) {
+            return false;
+          }
+          opts->*field = text;
+        } else {
+          // Parsed in the field's own kind: integer rows reject "2.0", and
+          // seeds above 2^53 stay exact.
+          std::conditional_t<std::is_same_v<T, int>, int64_t, T> v = 0;
+          if (!ParseStrict(text, &v) || !InRange(def.range, static_cast<double>(v))) {
+            return false;
+          }
+          opts->*field = static_cast<T>(v);
+        }
+        return true;
+      },
+      def.field);
+}
+
+bool ScenarioOptionAcceptsNumber(const ScenarioOptionDef& def, double value) {
+  return !def.is_string() && (!def.is_integer() || value == std::floor(value)) &&
+         InRange(def.range, value);
+}
+
+void SetScenarioOptionNumber(const ScenarioOptionDef& def, double value, ScenarioOptions* opts) {
+  std::visit(
+      [&](auto field) {
+        using T = typename std::remove_reference_t<decltype(opts->*field)>::value_type;
+        if constexpr (!std::is_same_v<T, std::string>) {
+          opts->*field = static_cast<T>(value);
+        }
+      },
+      def.field);
+}
+
+void MergeScenarioOptions(const ScenarioOptions& from, ScenarioOptions* to) {
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    std::visit(
+        [&](auto field) {
+          if (from.*field) {
+            to->*field = from.*field;
+          }
+        },
+        def.field);
+  }
+}
+
+void EchoScenarioOptions(const ScenarioOptions& opts, JsonWriter* json) {
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    if (!def.echoed) {
+      continue;
+    }
+    std::string echo_key = def.key;
+    std::replace(echo_key.begin(), echo_key.end(), '-', '_');
+    std::visit(
+        [&](auto field) {
+          if (opts.*field) {
+            json->Field(echo_key, *(opts.*field));
+          }
+        },
+        def.field);
+  }
+}
+
+void ApplyScenarioOptions(const ScenarioOptions& opts, ScenarioConfig* cfg) {
+  Override(opts.nodes, &cfg->num_nodes);
+  Override(opts.file_mb, &cfg->file_mb);
+  Override(opts.seed, &cfg->seed);
+  Override(opts.block_bytes, &cfg->block_bytes);
+  if (opts.deadline_sec) {
+    cfg->deadline = SecToSim(*opts.deadline_sec);
+  }
+  if (opts.topology) {
+    // Unknown names were rejected at parse time; a stale string keeps the
+    // scenario's registered topology.
+    ParseTopologyName(*opts.topology, &cfg->topo);
+  }
+  Override(opts.system, &cfg->system);
+  Override(opts.join_fraction, &cfg->join_fraction);
+  if (opts.loss) {
+    cfg->loss_min = 0.0;
+    cfg->loss_max = *opts.loss;
+  }
+  Override(opts.lifetime_pareto_alpha, &cfg->lifetime_pareto_alpha);
+  Override(opts.churn_model, &cfg->churn_model);
+  Override(opts.stream_bitrate_mbps, &cfg->stream_bitrate_mbps);
+  Override(opts.stream_window_blocks, &cfg->stream_window_blocks);
+  Override(opts.threads, &cfg->num_threads);
 }
 
 void ScenarioReport::AddCompletion(const ScenarioResult& result) {

@@ -5,12 +5,15 @@
 #ifndef SRC_HARNESS_SCENARIO_REGISTRY_H_
 #define SRC_HARNESS_SCENARIO_REGISTRY_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/cdf.h"
@@ -55,56 +58,72 @@ struct ScenarioOptions {
   // parallel engine and are only valid with a transit-stub topology; the
   // runner validates the combination up front (exit-2 usage error).
   std::optional<int> threads;
-  // Mega-swarm scale knob, 0/1 (--aggregate-flows; see ScenarioConfig).
-  std::optional<int> aggregate_flows;
 };
 
 class JsonWriter;
 
-// One row per generic scenario option. The bullet_run flag parser, the sweep
-// engine's axis validation/application and the requested_options JSON echo all
-// walk this table, so registering an option here is the single step that makes
-// it a CLI flag, a sweep axis (when sweepable) and a serialized override.
+// One typed descriptor per generic scenario option. The bullet_run flag
+// parser, sweep-axis validation, sweep-file `set` lines, the CLI-over-file
+// merge in sweep mode and the requested_options echo all walk this table, so a
+// row is the one place an option is declared. Only the option -> ScenarioConfig
+// mapping (ApplyScenarioOptions) is written per field.
 struct ScenarioOptionDef {
-  enum class Kind { kNumber, kString };
+  // The field's type is the option's value kind: int, int64, uint64, double
+  // or string.
+  using Field = std::variant<std::optional<int> ScenarioOptions::*,
+                             std::optional<int64_t> ScenarioOptions::*,
+                             std::optional<uint64_t> ScenarioOptions::*,
+                             std::optional<double> ScenarioOptions::*,
+                             std::optional<std::string> ScenarioOptions::*>;
+  // Accepted numeric values: lo <= v <= hi, or lo < v <= hi when lo_open.
+  struct Range {
+    double lo = 0.0;
+    double hi = std::numeric_limits<double>::infinity();
+    bool lo_open = false;
+  };
 
-  const char* flag;      // CLI flag, e.g. "--nodes"
-  const char* key;       // canonical sweep/set key, e.g. "nodes"
-  // requested_options field name; nullptr = parsed but never echoed (--loss
-  // has always been omitted from the echo and committed baselines pin that).
-  const char* json_key;
-  Kind kind = Kind::kNumber;
+  // Sweep/set key, e.g. "file-mb". The flag is "--file-mb" and the
+  // requested_options key is "file_mb".
+  const char* key;
+  Field field;
+  Range range = {};
+  // String rows: true when `text` is accepted. Always writes what the row
+  // accepts ("'mesh' or 'transit-stub'") to *accepts, for error messages.
+  bool (*validate)(const std::string& text, std::string* accepts) = nullptr;
   bool sweepable = false;
-  // CLI parse/validation failure message ("--nodes requires an integer ...").
-  const char* flag_error;
-  // Sweep-axis validation failure message ("nodes values must be ...");
-  // nullptr for non-sweepable options.
-  const char* axis_error;
-  // Parses raw flag text, validates, stores into *opts. May write a dynamic
-  // message to *error (e.g. --system listing the live protocol registry);
-  // callers fall back to flag_error when *error stays empty.
-  bool (*parse)(const std::string& text, ScenarioOptions* opts, std::string* error);
-  // Numeric sweep axes: range check and application. Null for string/non-
-  // sweepable options.
-  bool (*validate_number)(double value);
-  void (*apply_number)(double value, ScenarioOptions* opts);
-  // Applies the stored option onto a scenario config (the ApplyScenarioOptions
-  // step); no-ops when the option is unset.
-  void (*apply_config)(const ScenarioOptions& opts, ScenarioConfig* cfg);
-  // Emits the option into the requested_options object when set; null for
-  // never-echoed options (json_key == nullptr).
-  void (*echo)(const ScenarioOptions& opts, JsonWriter* json);
+  bool echoed = true;
+
+  std::string flag() const { return std::string("--") + key; }
+  bool is_string() const { return field.index() == 4; }
+  bool is_integer() const { return field.index() <= 2; }
 };
 
 // The table, in requested_options emission order.
 const std::vector<ScenarioOptionDef>& ScenarioOptionTable();
-// nullptr when no row has that canonical key.
+// nullptr when no row has that key.
 const ScenarioOptionDef* FindScenarioOptionByKey(const std::string& key);
-// Comma-joined canonical keys of the sweepable rows (for error messages).
+// Comma-joined keys of the sweepable rows, in table order.
 std::string SweepableOptionKeys();
+// What a row accepts, e.g. "an integer in [2, 1000000]" or "a positive number".
+std::string ScenarioOptionAccepts(const ScenarioOptionDef& def);
 
-// Applies the generic overrides onto a scenario's default config (walks the
-// option table's apply_config hooks).
+// Parses flag text into the row's field with its kind's strict parser (no
+// fractional integers; see flag_parse.h) and its range or validator. False,
+// leaving *opts unchanged, when the text is rejected.
+bool ParseScenarioOption(const ScenarioOptionDef& def, const std::string& text,
+                         ScenarioOptions* opts);
+// Sweep axes parse every numeric value as a double; a numeric row accepts it
+// when it is in range and, for integer kinds, integral.
+bool ScenarioOptionAcceptsNumber(const ScenarioOptionDef& def, double value);
+// Stores an accepted sweep value into the row's field (no-op on string rows).
+void SetScenarioOptionNumber(const ScenarioOptionDef& def, double value, ScenarioOptions* opts);
+// Copies every field set in `from` onto `to`.
+void MergeScenarioOptions(const ScenarioOptions& from, ScenarioOptions* to);
+// Emits every set, echoed field in table order (the requested_options body).
+void EchoScenarioOptions(const ScenarioOptions& opts, JsonWriter* json);
+
+// Applies the generic overrides onto a scenario's default config; unset
+// options keep the scenario's values.
 void ApplyScenarioOptions(const ScenarioOptions& opts, ScenarioConfig* cfg);
 
 // Paper file size scaled by REPRO_SCALE (ci: 20%, full: 100%).

@@ -42,11 +42,6 @@ bool ConsumeString(int argc, const char* const* argv, int* i, const std::string&
   return false;
 }
 
-// Strict parses shared with the sweep grammar; see flag_parse.h.
-using bullet::ParseStrictDouble;
-using bullet::ParseStrictInt64;
-using bullet::ParseStrictUint64;
-
 // --threads > 1 selects the partitioned parallel engine, whose partition cut
 // is the transit-stub domain hierarchy — a mesh run has nothing to partition.
 // Validated up front as a usage-class error (exit 2, like --profile with
@@ -73,8 +68,23 @@ bool ValidateThreadsRequest(const std::string& scenario,
 
 RunnerArgs ParseRunnerArgs(int argc, const char* const* argv) {
   RunnerArgs args;
+  const auto fail = [&args](std::string error) {
+    args.ok = false;
+    args.error = std::move(error);
+    return args;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // The value of `flag` from "--flag value" or "--flag=value"; false when missing.
+    std::string text;
+    const auto value_of = [&](const std::string& flag) {
+      return ConsumeString(argc, argv, &i, arg, flag, &text);
+    };
+    const ScenarioOptionDef* def = nullptr;
+    for (const ScenarioOptionDef& d : ScenarioOptionTable()) {
+      def = MatchesFlag(arg, d.flag()) ? &d : def;
+    }
+    int64_t n = 0;
     if (arg == "--list") {
       args.list = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -83,89 +93,54 @@ RunnerArgs ParseRunnerArgs(int argc, const char* const* argv) {
       args.quiet = true;
     } else if (arg == "--profile") {
       args.profile = true;
+    } else if (def != nullptr) {
+      if (!value_of(def->flag()) || !ParseScenarioOption(*def, text, &args.options)) {
+        return fail(def->flag() + " requires " + ScenarioOptionAccepts(*def));
+      }
     } else if (MatchesFlag(arg, "--scenario")) {
-      if (!ConsumeString(argc, argv, &i, arg, "--scenario", &args.scenario)) {
-        args.ok = false;
-        args.error = "--scenario requires a name";
-        return args;
+      if (!value_of("--scenario")) {
+        return fail("--scenario requires a name");
       }
+      args.scenario = text;
     } else if (MatchesFlag(arg, "--out")) {
-      if (!ConsumeString(argc, argv, &i, arg, "--out", &args.out_path)) {
-        args.ok = false;
-        args.error = "--out requires a path";
-        return args;
+      if (!value_of("--out")) {
+        return fail("--out requires a path");
       }
-    } else if (const ScenarioOptionDef* def = [&arg]() -> const ScenarioOptionDef* {
-                 for (const ScenarioOptionDef& d : ScenarioOptionTable()) {
-                   if (MatchesFlag(arg, d.flag)) {
-                     return &d;
-                   }
-                 }
-                 return nullptr;
-               }()) {
-      std::string text;
-      std::string error;
-      if (!ConsumeString(argc, argv, &i, arg, def->flag, &text) ||
-          !def->parse(text, &args.options, &error)) {
-        args.ok = false;
-        args.error = error.empty() ? def->flag_error : error;
-        return args;
-      }
+      args.out_path = text;
     } else if (MatchesFlag(arg, "--sweep")) {
-      std::string text;
       SweepAxis axis;
       std::string axis_error;
-      if (!ConsumeString(argc, argv, &i, arg, "--sweep", &text) ||
-          !ParseSweepAxisSpec(text, &axis, &axis_error)) {
-        args.ok = false;
-        args.error = axis_error.empty() ? "--sweep requires key=v1,v2,..." : axis_error;
-        return args;
+      if (!value_of("--sweep") || !ParseSweepAxisSpec(text, &axis, &axis_error)) {
+        return fail(axis_error.empty() ? "--sweep requires key=v1,v2,..." : axis_error);
       }
       args.sweep_axes.push_back(std::move(axis));
     } else if (MatchesFlag(arg, "--sweep-file")) {
-      if (!ConsumeString(argc, argv, &i, arg, "--sweep-file", &args.sweep_file)) {
-        args.ok = false;
-        args.error = "--sweep-file requires a path";
-        return args;
+      if (!value_of("--sweep-file")) {
+        return fail("--sweep-file requires a path");
       }
+      args.sweep_file = text;
     } else if (MatchesFlag(arg, "--sweep-name")) {
-      std::string text;
-      if (!ConsumeString(argc, argv, &i, arg, "--sweep-name", &text)) {
-        args.ok = false;
-        args.error = "--sweep-name requires a value";
-        return args;
+      if (!value_of("--sweep-name")) {
+        return fail("--sweep-name requires a value");
       }
       args.sweep_name = text;
     } else if (MatchesFlag(arg, "--repeats")) {
-      std::string text;
-      int64_t v = 0;
-      if (!ConsumeString(argc, argv, &i, arg, "--repeats", &text) || !ParseStrictInt64(text, &v) ||
-          v < 1 || v > 10000) {
-        args.ok = false;
-        args.error = "--repeats requires an integer in [1, 10000]";
-        return args;
+      if (!value_of("--repeats") || !ParseStrictInt64(text, &n) || n < 1 || n > 10000) {
+        return fail("--repeats requires an integer in [1, 10000]");
       }
-      args.repeats = static_cast<int>(v);
+      args.repeats = static_cast<int>(n);
     } else if (MatchesFlag(arg, "--jobs")) {
-      std::string text;
-      int64_t v = 0;
-      if (!ConsumeString(argc, argv, &i, arg, "--jobs", &text) || !ParseStrictInt64(text, &v) ||
-          v < 0 || v > 1024) {
-        args.ok = false;
-        args.error = "--jobs requires an integer in [0, 1024] (0 = auto)";
-        return args;
+      if (!value_of("--jobs") || !ParseStrictInt64(text, &n) || n < 0 || n > 1024) {
+        return fail("--jobs requires an integer in [0, 1024] (0 = auto)");
       }
-      args.jobs = static_cast<int>(v);
+      args.jobs = static_cast<int>(n);
     } else if (MatchesFlag(arg, "--out-dir")) {
-      if (!ConsumeString(argc, argv, &i, arg, "--out-dir", &args.out_dir)) {
-        args.ok = false;
-        args.error = "--out-dir requires a path";
-        return args;
+      if (!value_of("--out-dir")) {
+        return fail("--out-dir requires a path");
       }
+      args.out_dir = text;
     } else {
-      args.ok = false;
-      args.error = "unknown argument: " + arg;
-      return args;
+      return fail("unknown argument: " + arg);
     }
   }
   // A sweep file may name the scenario itself; everything else needs --scenario.
@@ -193,14 +168,10 @@ void WriteReportJson(std::ostream& os, const ScenarioReport& report,
   // The overrides as requested on the command line. Scenarios with fixed setups
   // (e.g. fig12's 8-node topology, fig15's delta bundle) may ignore overrides that
   // do not apply to them, so this records the request, not a guarantee. Emission
-  // order is the option table's row order; rows without a json_key (--loss) are
+  // order is the option table's row order; rows not marked echoed (--loss) are
   // never echoed — committed baselines pin both properties.
   json.Key("requested_options").BeginObject();
-  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
-    if (def.echo != nullptr) {
-      def.echo(options, &json);
-    }
-  }
+  EchoScenarioOptions(options, &json);
   json.EndObject();
 
   json.Key("scalars").BeginObject();
@@ -340,10 +311,6 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --threads N        engine worker threads; > 1 runs the partitioned\n"
         "                     parallel engine (transit-stub topologies only;\n"
         "                     1 is bit-identical to the serial engine)\n"
-        "  --aggregate-flows B\n"
-        "                     1 water-fills bundles of flows sharing an interior\n"
-        "                     route instead of individual flows (mega-swarm\n"
-        "                     mode; NOT bit-identical to the default allocator)\n"
         "  --out PATH         metrics JSON path (default BENCH_<scenario>.json; sweeps:\n"
         "                     aggregate path, default BENCH_sweep_<name>.json)\n"
         "  --quiet            suppress the summary table / CDF dump on stdout\n"
@@ -355,12 +322,18 @@ void PrintRunnerUsage(std::ostream& os) {
         "aggregate JSON is byte-identical for a given spec regardless of --jobs;\n"
         "also writes BENCH_sweep_<name>_floors.json with measured events/sec and\n"
         "sim-bytes/sec per grid point for the CI throughput-floor gate):\n"
-        "  --sweep key=v1,..  one grid axis (nodes, file-mb, block-bytes,\n"
-        "                     deadline-sec, loss, join-fraction,\n"
-        "                     lifetime-pareto-alpha, churn-model,\n"
-        "                     stream-bitrate-mbps, stream-window-blocks,\n"
-        "                     threads, aggregate-flows);\n"
-        "                     repeat the flag for more axes\n"
+        "  --sweep key=v1,..  one grid axis; repeat the flag for more axes. Keys:\n";
+  // Word-wrapped list of the option table's sweepable keys.
+  std::string line = "                    ";
+  std::istringstream keys(SweepableOptionKeys());
+  for (std::string key; keys >> key;) {
+    if (line.size() + 1 + key.size() > 78) {
+      os << line << "\n";
+      line = "                    ";
+    }
+    line += " " + key;
+  }
+  os << line << "\n"
         "  --sweep-file PATH  spec file (scenario/name/repeats/seed/set/sweep lines);\n"
         "                     command-line flags override file directives\n"
         "  --repeats R        runs per grid point (default 1)\n"
@@ -410,46 +383,10 @@ bool BuildSweepSpec(const RunnerArgs& args, SweepSpec* spec, std::string* error)
     return false;
   }
   // Fixed CLI overrides become the base point; the seed doubles as the stream-
-  // derivation base. Null fields keep whatever the file's `set`/`seed` lines said.
-  const ScenarioOptions& o = args.options;
-  if (o.nodes) {
-    spec->base.nodes = o.nodes;
-  }
-  if (o.file_mb) {
-    spec->base.file_mb = o.file_mb;
-  }
-  if (o.block_bytes) {
-    spec->base.block_bytes = o.block_bytes;
-  }
-  if (o.deadline_sec) {
-    spec->base.deadline_sec = o.deadline_sec;
-  }
-  if (o.loss) {
-    spec->base.loss = o.loss;
-  }
-  if (o.topology) {
-    spec->base.topology = o.topology;
-  }
-  if (o.system) {
-    spec->base.system = o.system;
-  }
-  if (o.join_fraction) {
-    spec->base.join_fraction = o.join_fraction;
-  }
-  if (o.lifetime_pareto_alpha) {
-    spec->base.lifetime_pareto_alpha = o.lifetime_pareto_alpha;
-  }
-  if (o.churn_model) {
-    spec->base.churn_model = o.churn_model;
-  }
-  if (o.threads) {
-    spec->base.threads = o.threads;
-  }
-  if (o.aggregate_flows) {
-    spec->base.aggregate_flows = o.aggregate_flows;
-  }
-  if (o.seed) {
-    spec->base_seed = *o.seed;
+  // derivation base. Unset fields keep whatever the file's `set`/`seed` lines said.
+  MergeScenarioOptions(args.options, &spec->base);
+  if (args.options.seed) {
+    spec->base_seed = *args.options.seed;
   }
   return true;
 }

@@ -39,11 +39,11 @@ struct RunnerArgs {
   }
 };
 
-// Parses bullet_run flags: --list, --scenario NAME, --nodes N, --file-mb F,
-// --seed S, --block-bytes B, --deadline-sec D, --loss L, --out PATH, --quiet,
-// --help, and the sweep flags --sweep key=v1,v2 (repeatable), --sweep-file PATH,
-// --repeats N, --jobs N, --sweep-name TAG, --out-dir DIR.
-// Both "--flag value" and "--flag=value" forms are accepted.
+// Parses bullet_run flags: one --key per ScenarioOptionTable() row, plus
+// --list, --help, --scenario NAME, --out PATH, --quiet, --profile and the sweep
+// flags --sweep key=v1,v2 (repeatable), --sweep-file PATH, --repeats N,
+// --jobs N, --sweep-name TAG, --out-dir DIR. Both "--flag value" and
+// "--flag=value" forms are accepted.
 RunnerArgs ParseRunnerArgs(int argc, const char* const* argv);
 
 // Serializes a finished report (plus the options that produced it) as JSON

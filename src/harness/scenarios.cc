@@ -74,7 +74,6 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
   params.full_recompute_allocator = cfg.full_recompute_allocator;
   params.quantum = cfg.quantum;
   params.num_threads = cfg.num_threads;
-  params.aggregate_flows = cfg.aggregate_flows;
 
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
   if (workload.access_links != nullptr) {

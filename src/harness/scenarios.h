@@ -75,10 +75,6 @@ struct ScenarioConfig {
   // CLI validates before the run so a mesh request is a usage error, not a
   // serial fallback surprise). 1 is bit-identical to the serial engine.
   int num_threads = 1;
-  // Mega-swarm scale knob (fig24; --aggregate-flows): water-fill bundles of
-  // flows sharing an interior route instead of individual flows — NOT
-  // bit-identical, opt-in only.
-  bool aggregate_flows = false;
 };
 
 struct ScenarioResult {

@@ -18,25 +18,18 @@
 namespace bullet {
 namespace {
 
-// Resolves a sweep key against the scenario option table; writes the standard
-// unknown-key message (listing the sweepable keys) when it does not resolve.
-const ScenarioOptionDef* FindSweepableOption(const std::string& key, std::string* error) {
-  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
-  if (def == nullptr || !def->sweepable) {
-    *error = "unknown sweep key '" + key + "' (supported: " + SweepableOptionKeys() + ")";
-    return nullptr;
+// Writes value `i` of `axis` onto options. Values were validated when the axis
+// was parsed, so the string path cannot fail.
+void ApplyAxisValue(const SweepAxis& axis, size_t i, ScenarioOptions* options) {
+  const ScenarioOptionDef* def = FindScenarioOptionByKey(axis.key);
+  if (def == nullptr) {
+    return;
   }
-  return def;
-}
-
-// Validates one numeric axis value against the same ranges the CLI enforces,
-// so a sweep cannot construct configurations a single run would reject.
-bool ValidateParam(const ScenarioOptionDef& def, double value, std::string* error) {
-  if (def.kind != ScenarioOptionDef::Kind::kNumber || !def.validate_number(value)) {
-    *error = def.axis_error;
-    return false;
+  if (axis.is_string()) {
+    ParseScenarioOption(*def, axis.text_values[i], options);
+  } else {
+    SetScenarioOptionNumber(*def, axis.values[i], options);
   }
-  return true;
 }
 
 bool IsIntegral(double v) { return v == std::floor(v); }
@@ -62,11 +55,11 @@ bool ParseSweepAxisSpec(const std::string& text, SweepAxis* axis, std::string* e
   }
   SweepAxis parsed;
   parsed.key = text.substr(0, eq);
-  const ScenarioOptionDef* def = FindSweepableOption(parsed.key, error);
-  if (def == nullptr) {
+  const ScenarioOptionDef* def = FindScenarioOptionByKey(parsed.key);
+  if (def == nullptr || !def->sweepable) {
+    *error = "unknown sweep key '" + parsed.key + "' (supported: " + SweepableOptionKeys() + ")";
     return false;
   }
-  const bool is_string = def->kind == ScenarioOptionDef::Kind::kString;
 
   std::string values = text.substr(eq + 1);
   size_t start = 0;
@@ -74,37 +67,32 @@ bool ParseSweepAxisSpec(const std::string& text, SweepAxis* axis, std::string* e
     const size_t comma = values.find(',', start);
     const std::string item =
         values.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (is_string) {
-      ScenarioOptions dummy;
-      std::string parse_error;
-      if (item.empty() || !def->parse(item, &dummy, &parse_error)) {
-        *error = def->axis_error;
-        return false;
-      }
-      // A repeated value would silently run the same grid point twice under
-      // two point indices (distinct derived seeds) — almost always a typo.
-      for (const std::string& prev : parsed.text_values) {
-        if (prev == item) {
-          *error = "duplicate value '" + item + "' in sweep axis '" + parsed.key + "'";
-          return false;
-        }
-      }
+    double v = 0.0;
+    if (!def->is_string() && !ParseStrictDouble(item, &v)) {
+      *error = "bad value '" + item + "' for sweep axis '" + parsed.key + "'";
+      return false;
+    }
+    // The same ranges and validators as the single-run flags, so a sweep
+    // cannot construct configurations a single run would reject.
+    std::string accepts;
+    if (def->is_string() ? !def->validate(item, &accepts)
+                         : !ScenarioOptionAcceptsNumber(*def, v)) {
+      *error = parsed.key + " values must each be " + ScenarioOptionAccepts(*def);
+      return false;
+    }
+    // A repeated value would silently run the same grid point twice under two
+    // point indices (distinct derived seeds) — almost always a typo.
+    const bool repeated =
+        def->is_string()
+            ? std::count(parsed.text_values.begin(), parsed.text_values.end(), item) > 0
+            : std::count(parsed.values.begin(), parsed.values.end(), v) > 0;
+    if (repeated) {
+      *error = "duplicate value '" + item + "' in sweep axis '" + parsed.key + "'";
+      return false;
+    }
+    if (def->is_string()) {
       parsed.text_values.push_back(item);
     } else {
-      double v = 0.0;
-      if (!ParseStrictDouble(item, &v)) {
-        *error = "bad value '" + item + "' for sweep axis '" + parsed.key + "'";
-        return false;
-      }
-      if (!ValidateParam(*def, v, error)) {
-        return false;
-      }
-      for (const double prev : parsed.values) {
-        if (prev == v) {
-          *error = "duplicate value '" + item + "' in sweep axis '" + parsed.key + "'";
-          return false;
-        }
-      }
       parsed.values.push_back(v);
     }
     if (comma == std::string::npos) {
@@ -175,11 +163,7 @@ bool ParseSweepFile(std::istream& in, SweepSpec* spec, std::string* error) {
       if (!ParseSweepAxisSpec(rest, &axis, &axis_error) || axis.size() != 1) {
         return fail(axis_error.empty() ? "set needs exactly one key=value" : axis_error);
       }
-      if (axis.is_string()) {
-        ApplySweepParamText(axis.key, axis.text_values[0], &spec->base);
-      } else {
-        ApplySweepParam(axis.key, axis.values[0], &spec->base);
-      }
+      ApplyAxisValue(axis, 0, &spec->base);
     } else if (directive == "sweep") {
       SweepAxis axis;
       std::string axis_error;
@@ -197,25 +181,6 @@ bool ParseSweepFile(std::istream& in, SweepSpec* spec, std::string* error) {
     }
   }
   return true;
-}
-
-bool ApplySweepParam(const std::string& key, double value, ScenarioOptions* options) {
-  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
-  if (def == nullptr || !def->sweepable || def->apply_number == nullptr) {
-    return false;
-  }
-  def->apply_number(value, options);
-  return true;
-}
-
-bool ApplySweepParamText(const std::string& key, const std::string& value,
-                         ScenarioOptions* options) {
-  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
-  if (def == nullptr || !def->sweepable || def->kind != ScenarioOptionDef::Kind::kString) {
-    return false;
-  }
-  std::string error;
-  return def->parse(value, options, &error);
 }
 
 bool FindDuplicateAxisKey(const std::vector<SweepAxis>& axes, std::string* key) {
@@ -257,11 +222,10 @@ std::vector<SweepPoint> ExpandSweepGrid(const SweepSpec& spec) {
         if (axis.is_string()) {
           value.is_string = true;
           value.text = axis.text_values[idx[a]];
-          ApplySweepParamText(axis.key, value.text, &p.options);
         } else {
           value.number = axis.values[idx[a]];
-          ApplySweepParam(axis.key, value.number, &p.options);
         }
+        ApplyAxisValue(axis, idx[a], &p.options);
         p.params.emplace_back(axis.key, std::move(value));
       }
       p.options.seed = p.seed;

@@ -126,13 +126,6 @@ bool FindDuplicateAxisKey(const std::vector<SweepAxis>& axes, std::string* key);
 // Axis keys must be unique (see FindDuplicateAxisKey).
 std::vector<SweepPoint> ExpandSweepGrid(const SweepSpec& spec);
 
-// Applies one canonical-key numeric parameter (a SweepAxis value) onto
-// options. Returns false on an unknown or non-numeric key.
-bool ApplySweepParam(const std::string& key, double value, ScenarioOptions* options);
-// String-axis counterpart (e.g. churn-model=stub).
-bool ApplySweepParamText(const std::string& key, const std::string& value,
-                         ScenarioOptions* options);
-
 // Runs every grid point through the registry's scenario on `jobs` worker threads
 // (jobs <= 0 picks hardware concurrency). Blocks until all runs finish.
 SweepRunOutcome RunSweep(const SweepSpec& spec, const ScenarioRegistry& registry, int jobs);

@@ -47,7 +47,6 @@ WorkloadExperiment::WorkloadExperiment(std::unique_ptr<Topology> topology,
                                   ? NetworkConfig::AllocatorMode::kFullRecompute
                                   : NetworkConfig::AllocatorMode::kIncremental;
   net_config.num_threads = params.num_threads;
-  net_config.aggregate_flows = params.aggregate_flows;
   net_ = std::make_unique<Network>(std::move(topology), net_config, params.seed ^ 0x9e3779b9ULL);
   member_claimed_.assign(static_cast<size_t>(net_->num_nodes()), 0);
 }

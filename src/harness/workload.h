@@ -61,10 +61,6 @@ struct WorkloadParams {
   // allocator mode, serial fallback otherwise. 1 is bit-identical to the
   // serial engine.
   int num_threads = 1;
-  // Bundle flows sharing an interior route before water-filling
-  // (NetworkConfig::aggregate_flows). Mega-swarm mode: conservation and
-  // feasibility are exact but rates are not bit-identical to the default.
-  bool aggregate_flows = false;
 };
 
 struct SessionResult {

@@ -149,19 +149,6 @@ class IncrementalMaxMin {
   double rate(size_t flow_index) const { return rate_[flow_index]; }
   const std::vector<double>& rates() const { return rate_; }
 
-  // Read-only view of the current epoch's inputs (link capacities, per-flow
-  // link CSR, per-flow caps), for the aggregated water-fill in
-  // src/sim/scale/flow_aggregation.h. Valid from the last AddFlow* call until
-  // the next BeginEpoch(). Flow i crosses (*flow_links)[(*flow_off)[i] ..
-  // (*flow_off)[i+1]); negative entries are unused slots.
-  struct EpochView {
-    const std::vector<double>* capacity;
-    const std::vector<int32_t>* flow_links;
-    const std::vector<uint32_t>* flow_off;
-    const std::vector<double>* cap;
-  };
-  EpochView epoch_view() const { return EpochView{&capacity_, &flow_links_, &flow_off_, &cap_}; }
-
   // Number of flows the last Allocate() saw on `link` (CSR row width). Valid
   // until the next BeginEpoch(); used by the network's shared-bottleneck
   // introspection.

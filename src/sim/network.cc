@@ -52,10 +52,6 @@ Network::Network(std::unique_ptr<Topology> topology, NetworkConfig config, uint6
   const size_t interior_ids = static_cast<size_t>(topology_->interior_id_limit());
   interior_epoch_.assign(interior_ids, 0);
   interior_link_id_.assign(interior_ids, -1);
-  BULLET_CHECK((!config_.aggregate_flows ||
-                config_.allocator_mode == NetworkConfig::AllocatorMode::kIncremental) &&
-               "aggregate_flows requires the incremental allocator mode");
-  current_rates_ = &alloc_.rates();
   BuildPartitions();
 }
 
@@ -627,28 +623,15 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
     }
   }
 
-  if (config_.aggregate_flows) {
-    // Aggregated water-fill: bundles over the interior links only; the member
-    // split and access-link bounds happen inside the aggregator. It runs
-    // serially on both engines: the bundle count is far below the flow count
-    // that makes a sharded fill worthwhile, and serial execution keeps the
-    // partitioned engine's aggregated epoch identical to the serial one.
-    aggregator_.Allocate(alloc_, static_cast<size_t>(2 * n));
-    current_rates_ = &aggregator_.rates();
-    max_interior_link_flows_ =
-        std::max(max_interior_link_flows_, aggregator_.max_interior_link_flows());
+  if (parallel_) {
+    alloc_.AllocateParallel(pool_.get());
   } else {
-    if (parallel_) {
-      alloc_.AllocateParallel(pool_.get());
-    } else {
-      alloc_.Allocate();
-    }
-    current_rates_ = &alloc_.rates();
-    // Shared-bottleneck introspection: widest interior link of this epoch (links
-    // below 2n are access links). The CSR row widths are valid after allocation.
-    for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
-      max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
-    }
+    alloc_.Allocate();
+  }
+  // Shared-bottleneck introspection: widest interior link of this epoch (links
+  // below 2n are access links). The CSR row widths are valid after allocation.
+  for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
+    max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
   }
   // Ramping caps change next quantum, which changes the allocation; otherwise the
   // cached result stays exact until an activation/drain/close/capacity change.
@@ -666,7 +649,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
     if (dir.queue.empty()) {
       continue;
     }
-    dir.rate_bps = (*current_rates_)[fi];
+    dir.rate_bps = alloc_.rate(fi);
     dir.tcp.last_busy = now();
     double budget = dir.rate_bps / 8.0 * dt_sec;
     while (!dir.queue.empty() && budget >= dir.queue.front().remaining_bytes) {

@@ -109,7 +109,6 @@
 #include "src/sim/engine_parallel.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/scale/arena.h"
-#include "src/sim/scale/flow_aggregation.h"
 #include "src/sim/tcp_model.h"
 #include "src/sim/time.h"
 #include "src/sim/topology.h"
@@ -156,18 +155,6 @@ struct NetworkConfig {
   // router, fewer if the lookahead check demands it) and silently falls back
   // to the serial engine when no valid multi-partition plan exists.
   int num_threads = 1;
-
-  // Mega-swarm mode: water-fill *bundles* of flows sharing an identical
-  // interior route instead of individual flows (src/sim/scale/
-  // flow_aggregation.h). Epoch cost scales with bundles (bounded by ordered
-  // router pairs on a transit-stub graph) rather than live flows. NOT
-  // bit-identical to the exact allocator — access links are treated as
-  // locally fair (capacity/k member caps) and intra-bundle competition at the
-  // interior bottleneck is replaced by the bounded split — but conservation
-  // and link feasibility hold exactly (allocator_invariants tests pin the
-  // deviation). Default off: the exact path is untouched and byte-identical.
-  // Requires kIncremental mode.
-  bool aggregate_flows = false;
 };
 
 class Network {
@@ -578,12 +565,6 @@ class Network {
 
   // --- incremental tick state ---
   IncrementalMaxMin alloc_;
-  // Aggregated water-fill engine (config_.aggregate_flows) and the rate
-  // vector AdvanceTransmissions reads: alloc_.rates() on the exact path,
-  // aggregator_.rates() on the aggregated one. The indirection is set by every
-  // rebuild and never dangles (both vectors live as long as the network).
-  FlowAggregator aggregator_;
-  const std::vector<double>* current_rates_ = nullptr;
   // Live/peak bytes of protocol node-state arenas (see arena_counter()).
   ArenaCounter arena_counter_;
   // (conn, direction) per allocated flow, in allocation order; parallel to

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <variant>
 #include <vector>
 
 #include "src/harness/bench_check.h"
 #include "src/harness/json_reader.h"
+#include "tests/harness/option_range_cases.h"
 
 namespace bullet {
 namespace {
@@ -202,6 +206,108 @@ TEST_F(RunnerMainTest, SystemAndJoinFractionEchoInRequestedOptions) {
   const std::string json = content.str();
   EXPECT_NE(json.find("\"system\":\"bittorrent\""), std::string::npos);
   EXPECT_NE(json.find("\"join_fraction\":0.5"), std::string::npos);
+}
+
+TEST_F(RunnerMainTest, RemovedAggregateFlowsModeIsUsageError) {
+  EXPECT_EQ(Run({"--scenario", "tiny", "--aggregate-flows", "1"}), 2);
+  EXPECT_NE(err_.str().find("unknown argument: --aggregate-flows"), std::string::npos);
+  EXPECT_EQ(Run({"--scenario", "tiny", "--sweep", "aggregate-flows=0,1"}), 2);
+  EXPECT_NE(err_.str().find("unknown sweep key 'aggregate-flows'"), std::string::npos);
+}
+
+TEST_F(RunnerMainTest, CliAndSweepAxisAgreeOnEveryRangeEdge) {
+  // --topology transit-stub lets the threads cases reach their range check.
+  const std::string out = ::testing::TempDir() + "/bullet_runner_range_test.json";
+  const std::string dir = ::testing::TempDir() + "/bullet_runner_range_test";
+  for (const OptionRangeCases& row : kOptionRangeCases) {
+    const ScenarioOptionDef* def = FindScenarioOptionByKey(row.key);
+    ASSERT_NE(def, nullptr) << row.key;
+    const std::string flag = def->flag();
+    for (const bool accepted : {true, false}) {
+      for (const std::string& value : accepted ? row.accepted : row.rejected) {
+        const int cli = Run({"--scenario", "tiny", "--topology", "transit-stub", flag.c_str(),
+                             value.c_str(), "--out", out.c_str(), "--quiet"});
+        EXPECT_EQ(cli, accepted ? 0 : 2) << flag << " " << value;
+        if (def->sweepable) {
+          const std::string axis = std::string(row.key) + "=" + value;
+          EXPECT_EQ(Run({"--scenario", "tiny", "--topology", "transit-stub", "--sweep",
+                         axis.c_str(), "--jobs", "1", "--out-dir", dir.c_str(), "--quiet"}),
+                    cli)
+              << axis;
+        }
+      }
+    }
+  }
+  std::remove(out.c_str());
+  std::filesystem::remove_all(dir);
+}
+
+// One accepted CLI value per option row. Every row needs one, so a new option
+// cannot bypass the sweep-mode override check below.
+const std::map<std::string, const char*> kSampleOptionValues = {
+    {"nodes", "7"}, {"file-mb", "2.5"}, {"seed", "99"}, {"block-bytes", "4096"},
+    {"deadline-sec", "30"}, {"topology", "transit-stub"}, {"system", "bittorrent"},
+    {"join-fraction", "0.25"}, {"loss", "0.05"}, {"lifetime-pareto-alpha", "1.5"},
+    {"churn-model", "stub"}, {"stream-bitrate-mbps", "3"}, {"stream-window-blocks", "4"},
+    {"threads", "1"},
+};
+
+bool SameOptions(const ScenarioOptions& a, const ScenarioOptions& b) {
+  bool same = true;
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    std::visit([&](auto field) { same = same && a.*field == b.*field; }, def.field);
+  }
+  return same;
+}
+
+std::string RequestedOptionsOf(const std::string& json) {
+  const size_t at = json.find("\"requested_options\":");
+  return at == std::string::npos ? "" : json.substr(at, json.find('}', at) - at + 1);
+}
+
+TEST_F(RunnerMainTest, SweepModeKeepsEveryCliOverride) {
+  std::vector<ScenarioOptions> seen;
+  registry_.Register("capture", "records its options", [&seen](const ScenarioOptions& opts) {
+    seen.push_back(opts);
+    return ScenarioReport("capture");
+  });
+  const std::string dir = ::testing::TempDir() + "/bullet_runner_override_test";
+  const std::string spec = dir + ".sweep";
+  std::ofstream(spec) << "scenario capture\nname o\nrepeats 1\n";
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    SCOPED_TRACE(def.key);
+    const auto sample = kSampleOptionValues.find(def.key);
+    ASSERT_NE(sample, kSampleOptionValues.end()) << "no sample value for this option row";
+    const std::string flag = def.flag();
+    const RunnerArgs single = Parse({"--scenario", "capture", flag.c_str(), sample->second});
+    ASSERT_TRUE(single.ok) << single.error;
+
+    seen.clear();
+    ASSERT_EQ(Run({"--sweep-file", spec.c_str(), flag.c_str(), sample->second, "--jobs", "1",
+                   "--out-dir", dir.c_str(), "--quiet"}),
+              0)
+        << err_.str();
+    // The run received spec.base: the single-run options with the seed
+    // replaced by the one derived from the (possibly overridden) base seed.
+    ScenarioOptions expected = single.options;
+    expected.seed = DeriveSweepSeed(single.options.seed.value_or(1), 0, 0);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_TRUE(SameOptions(seen[0], expected));
+
+    std::ifstream in(dir + "/BENCH_sweep_o_p0_r0.json");
+    std::stringstream per_run;
+    per_run << in.rdbuf();
+    std::ostringstream want;
+    WriteReportJson(want, ScenarioReport("capture"), expected);
+    EXPECT_EQ(RequestedOptionsOf(per_run.str()), RequestedOptionsOf(want.str()));
+    if (def.echoed) {
+      std::string echo_key = def.key;
+      std::replace(echo_key.begin(), echo_key.end(), '-', '_');
+      EXPECT_NE(per_run.str().find("\"" + echo_key + "\":"), std::string::npos);
+    }
+  }
+  std::remove(spec.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(RunnerMainTest, ListWritesOnlyToStdout) {

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include "tests/harness/option_range_cases.h"
+
 namespace bullet {
 namespace {
 
@@ -34,6 +36,33 @@ TEST(ParseSweepAxisSpecTest, RejectsBadInput) {
   EXPECT_FALSE(ParseSweepAxisSpec("loss=1.5", &axis, &error));       // above range
   EXPECT_FALSE(ParseSweepAxisSpec("warp=9", &axis, &error));         // unknown key
   EXPECT_NE(error.find("warp"), std::string::npos);
+  EXPECT_FALSE(ParseSweepAxisSpec("aggregate-flows=0", &axis, &error));  // removed mode
+  EXPECT_NE(error.find("unknown sweep key"), std::string::npos);
+}
+
+TEST(ParseSweepAxisSpecTest, AcceptsExactlyEachNumericRowsRange) {
+  for (const OptionRangeCases& row : kOptionRangeCases) {
+    const ScenarioOptionDef* def = FindScenarioOptionByKey(row.key);
+    ASSERT_NE(def, nullptr) << row.key;
+    for (const bool accepted : {true, false}) {
+      for (const std::string& value : accepted ? row.accepted : row.rejected) {
+        const std::string spec = std::string(row.key) + "=" + value;
+        SweepAxis axis;
+        std::string error;
+        // Non-sweepable rows (seed) are unknown sweep keys whatever the value.
+        EXPECT_EQ(ParseSweepAxisSpec(spec, &axis, &error), accepted && def->sweepable)
+            << spec << ": " << error;
+      }
+    }
+  }
+  // Every numeric row has range cases.
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    bool covered = def.is_string();
+    for (const OptionRangeCases& row : kOptionRangeCases) {
+      covered = covered || row.key == std::string(def.key);
+    }
+    EXPECT_TRUE(covered) << def.key;
+  }
 }
 
 TEST(ExpandSweepGridTest, CartesianProductWithRepeats) {

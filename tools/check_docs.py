@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker for the CI docs job.
 
-Two checks, both against the working tree (no build needed):
+Three checks, all against the working tree (no build needed):
 
  1. Scenario-table consistency: every scenario registered via
     BULLET_SCENARIO(...) in bench/*.cc must have a row in the README's
@@ -11,7 +11,13 @@ Two checks, both against the working tree (no build needed):
     docs/*.md must exist on disk (anchors are stripped; external URLs and
     badge images are ignored).
 
-Exit 0 when both pass, 1 with a FAIL line per violation otherwise.
+ 3. Option-table consistency: the option keys declared in
+    ScenarioOptionTable() (src/harness/scenario_registry.cc) must match the
+    README's "Useful flags:" list (as --key) and, for sweepable rows, its
+    "Supported keys:" list, in both directions, so a removed option cannot
+    linger in the docs and a new one cannot go undocumented.
+
+Exit 0 when all pass, 1 with a FAIL line per violation otherwise.
 
 Usage: tools/check_docs.py [repo-root]
 """
@@ -76,6 +82,53 @@ def check_links(root):
     return failures
 
 
+OPTION_ROW = re.compile(r'\{\.key = "([a-z-]+)"')
+
+
+def option_table(root):
+    """(key, sweepable) per ScenarioOptionTable() row, in table order. A row
+    runs from its `{.key = "..."` to the next row (the last one to the end of
+    the table)."""
+    path = os.path.join(root, "src", "harness", "scenario_registry.cc")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    starts = list(OPTION_ROW.finditer(text))
+    rows = []
+    for i, m in enumerate(starts):
+        end = starts[i + 1].start() if i + 1 < len(starts) else text.find("};", m.start())
+        rows.append((m.group(1), ".sweepable = true" in text[m.start():end]))
+    return rows
+
+
+def readme_list(text, label):
+    """Backquoted tokens of the sentence that starts with `label`."""
+    start = text.find(label)
+    if start < 0:
+        return None
+    end = text.find(".", start)
+    return re.findall(r"`([^`]+)`", text[start:end])
+
+
+def check_options(root):
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    rows = option_table(root)
+    failures = []
+    if not rows:
+        return ["FAIL src/harness/scenario_registry.cc: no ScenarioOptionTable() rows found"]
+    for label, want in (("Useful flags:", {"--" + key for key, _ in rows}),
+                        ("Supported keys:", {key for key, sweepable in rows if sweepable})):
+        listed = readme_list(text, label)
+        if listed is None:
+            failures.append(f"FAIL README.md: no '{label}' list")
+            continue
+        for item in sorted(want - set(listed)):
+            failures.append(f"FAIL README.md: '{label}' list lacks `{item}` from the option table")
+        for item in sorted(set(listed) - want):
+            failures.append(f"FAIL README.md: '{label}' list names `{item}`, which is not in the option table")
+    return failures
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     failures = []
@@ -94,12 +147,14 @@ def main():
             failures.append(f"FAIL README.md: scenario table row `{name}` has no BULLET_SCENARIO registration")
 
     failures += check_links(root)
+    failures += check_options(root)
 
     for f in failures:
         print(f)
     if failures:
         return 1
-    print(f"OK: {len(registered)} scenarios documented, links resolve in {len(markdown_files(root))} markdown files")
+    print(f"OK: {len(registered)} scenarios documented, links resolve in {len(markdown_files(root))} markdown files, "
+          f"{len(option_table(root))} options documented")
     return 0
 
 
