@@ -1,6 +1,7 @@
 #include "src/core/request_strategy.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 
@@ -152,8 +153,13 @@ std::optional<uint32_t> CandidateSet::PickRarest(const ValidFn& valid, const Rar
     // index draw and, on a rarity tie, its reservoir draw), so every other
     // sampled candidate sees an identical random sequence; only the
     // duplicate's own second win is discarded.
-    size_t sampled[kRaritySample];
-    size_t num_sampled = 0;
+    // Indices seen so far live in an open-addressing set at most half full
+    // (kSeenSlots = 2 * kRaritySample), stored as index + 1 so 0 marks an
+    // empty slot (a set never nears 2^32 entries, so indices fit).
+    uint32_t seen[kSeenSlots];
+    if (!exhaustive) {
+      std::fill(std::begin(seen), std::end(seen), 0u);
+    }
     for (size_t s = 0; s < sample; ++s) {
       const size_t i =
           exhaustive
@@ -161,15 +167,13 @@ std::optional<uint32_t> CandidateSet::PickRarest(const ValidFn& valid, const Rar
               : static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(vec_.size()) - 1));
       bool duplicate = false;
       if (!exhaustive) {
-        for (size_t k = 0; k < num_sampled; ++k) {
-          if (sampled[k] == i) {
-            duplicate = true;
-            break;
-          }
+        const uint32_t key = static_cast<uint32_t>(i) + 1;
+        size_t slot = (key * 0x9e3779b1u) >> (32 - kSeenBits);
+        while (seen[slot] != 0 && seen[slot] != key) {
+          slot = (slot + 1) & (kSeenSlots - 1);
         }
-        if (!duplicate) {
-          sampled[num_sampled++] = i;
-        }
+        duplicate = seen[slot] == key;
+        seen[slot] = key;
       }
       const uint32_t id = vec_[i];
       if (!valid(id)) {

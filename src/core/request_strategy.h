@@ -62,6 +62,12 @@ class CandidateSet {
   static constexpr size_t kRaritySample = 128;
 
  private:
+  // PickRarest's sampled-index dedup table: 2^kSeenBits slots, twice the
+  // sample size.
+  static constexpr int kSeenBits = 8;
+  static constexpr size_t kSeenSlots = size_t{1} << kSeenBits;
+  static_assert(kSeenSlots >= 2 * kRaritySample);
+
   std::optional<uint32_t> PickFirst(const ValidFn& valid);
   std::optional<uint32_t> PickRandom(const ValidFn& valid, Rng& rng);
   std::optional<uint32_t> PickRarest(const ValidFn& valid, const RarityFn& rarity, Rng& rng,

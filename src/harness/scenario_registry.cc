@@ -74,7 +74,8 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
       {.key = "file-mb", .field = &ScenarioOptions::file_mb, .range = kPositive,
        .sweepable = true},
       {.key = "seed", .field = &ScenarioOptions::seed},
-      {.key = "block-bytes", .field = &ScenarioOptions::block_bytes, .range = {512},
+      {.key = "block-bytes", .field = &ScenarioOptions::block_bytes,
+       .range = {512, 1073741824},
        .sweepable = true},
       {.key = "deadline-sec", .field = &ScenarioOptions::deadline_sec, .range = kPositive,
        .sweepable = true},

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <queue>
 
+#include "src/common/logging.h"
 #include "src/common/profiler.h"
 #include "src/sim/engine_parallel.h"
 
@@ -15,14 +17,18 @@ struct HeapEntry {
   double share;
   int32_t link;
   uint32_t stamp;
-  bool operator>(const HeapEntry& o) const { return share > o.share; }
+  // The canonical order: least share first, ties to the lower link index.
+  bool operator>(const HeapEntry& o) const {
+    return share > o.share || (share == o.share && link > o.link);
+  }
 };
 
 // The stateless reference body shared by AllocateMaxMin and AllocateMaxMinPaths.
 // Flows arrive CSR-style: flow i crosses flow_links[flow_off[i] .. flow_off[i+1])
 // (negative entries are skipped). Every auxiliary structure is built fresh per
-// call; IncrementalMaxMin::Allocate() mirrors this body line for line over
-// persistent storage, and the invariants tests compare the two bitwise.
+// call, and every link carries a heap entry per change (stale ones are skipped
+// by stamp); IncrementalMaxMin::Allocate() takes the same steps over its
+// persistent table, and the invariants tests compare the two bitwise.
 void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<uint32_t>& flow_off,
                      const std::vector<double>& cap, const std::vector<double>& link_capacity_bps,
                      std::vector<double>& rate) {
@@ -209,174 +215,394 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
   }
 }
 
-void IncrementalMaxMin::BeginEpoch(size_t keep_links) {
-  capacity_.resize(keep_links);
-  flow_links_.clear();
-  flow_off_.assign(1, 0);
-  cap_.clear();
-  rate_.clear();
+int32_t IncrementalMaxMin::AddLink(int64_t order, double capacity_bps) {
+  BULLET_CHECK(order >= 0 && "link order keys are non-negative");
+  int32_t l;
+  if (free_links_.empty()) {
+    l = static_cast<int32_t>(order_.size());
+    capacity_.push_back(0.0);
+    order_.push_back(-1);
+    row_head_.push_back(kNoEntry);
+    row_size_.push_back(0);
+    side_dirty_.push_back(0);
+    multi_pos_.push_back(-1);
+    remaining_.push_back(0.0);
+    unfrozen_.push_back(0);
+    pos_.push_back(-1);
+  } else {
+    l = free_links_.back();
+    free_links_.pop_back();
+  }
+  capacity_[static_cast<size_t>(l)] = capacity_bps;
+  order_[static_cast<size_t>(l)] = order;
+  return l;
 }
 
-int32_t IncrementalMaxMin::AddLink(double capacity_bps) {
-  const int32_t id = static_cast<int32_t>(capacity_.size());
-  capacity_.push_back(capacity_bps);
-  return id;
+void IncrementalMaxMin::RemoveLink(int32_t link) {
+  BULLET_CHECK(row_size_[static_cast<size_t>(link)] == 0 && "removing a link that flows cross");
+  order_[static_cast<size_t>(link)] = -1;
+  free_links_.push_back(link);
 }
 
-void IncrementalMaxMin::AddFlow(int32_t l0, int32_t l1, int32_t l2, double cap_bps) {
-  flow_links_.push_back(l0);
-  flow_links_.push_back(l1);
-  flow_links_.push_back(l2);
-  flow_off_.push_back(static_cast<uint32_t>(flow_links_.size()));
-  cap_.push_back(cap_bps);
+void IncrementalMaxMin::SetCapacity(int32_t link, double capacity_bps) {
+  const size_t l = static_cast<size_t>(link);
+  if (capacity_[l] == capacity_bps) {
+    return;
+  }
+  capacity_[l] = capacity_bps;
+  if (row_size_[l] == 1) {
+    MarkSideDirty(link);  // its place in the single-flow order moved
+  }
 }
 
-void IncrementalMaxMin::AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps) {
-  flow_links_.insert(flow_links_.end(), ids, ids + num_ids);
-  flow_off_.push_back(static_cast<uint32_t>(flow_links_.size()));
-  cap_.push_back(cap_bps);
+int32_t IncrementalMaxMin::AddFlow(const int32_t* links, size_t num_links, double cap_bps) {
+  int32_t f;
+  if (free_flows_.empty()) {
+    f = static_cast<int32_t>(cap_.size());
+    flow_off_.push_back(0);
+    flow_len_.push_back(0);
+    cap_.push_back(0.0);
+    rate_.push_back(0.0);
+    reorder_.push_back(0);
+    frozen_.push_back(0);
+  } else {
+    f = free_flows_.back();
+    free_flows_.pop_back();
+  }
+  const size_t fi = static_cast<size_t>(f);
+  // The flow's link list takes a pooled block of its exact length.
+  uint32_t len = 0;
+  for (size_t k = 0; k < num_links; ++k) {
+    len += links[k] >= 0 ? 1 : 0;
+  }
+  if (free_blocks_.size() <= len) {
+    free_blocks_.resize(len + 1);
+  }
+  uint32_t off;
+  if (free_blocks_[len].empty()) {
+    off = static_cast<uint32_t>(link_pool_.size());
+    link_pool_.resize(link_pool_.size() + len);
+  } else {
+    off = free_blocks_[len].back();
+    free_blocks_[len].pop_back();
+  }
+  flow_off_[fi] = off;
+  flow_len_[fi] = len;
+  for (size_t k = 0; k < num_links; ++k) {
+    const int32_t l = links[k];
+    if (l < 0) {
+      continue;
+    }
+    // Push the entry onto the front of the link's row.
+    const size_t li = static_cast<size_t>(l);
+    const uint32_t next = row_head_[li];
+    link_pool_[off] = FlowLink{l, f, kNoEntry, next};
+    if (next != kNoEntry) {
+      link_pool_[next].prev = off;
+    }
+    row_head_[li] = off++;
+    ++row_size_[li];
+    RowChanged(l, static_cast<size_t>(row_size_[li] - 1));
+  }
+  cap_[fi] = cap_bps;
+  rate_[fi] = len == 0 ? cap_bps : 0.0;
+  ++live_flows_;
+  if (len != 0) {
+    ++linked_flows_;
+    MarkReorder(f);
+  }
+  return f;
 }
 
-void IncrementalMaxMin::BuildEpochScratch() {
-  const size_t num_links = capacity_.size();
-  const size_t num_flows = cap_.size();
+void IncrementalMaxMin::RemoveFlow(int32_t flow) {
+  const size_t fi = static_cast<size_t>(flow);
+  const uint32_t off = flow_off_[fi];
+  const uint32_t len = flow_len_[fi];
+  // Unlink this flow's entry from each row; row order is immaterial.
+  for (uint32_t k = off; k < off + len; ++k) {
+    const FlowLink& e = link_pool_[k];
+    const size_t li = static_cast<size_t>(e.link);
+    if (e.prev != kNoEntry) {
+      link_pool_[e.prev].next = e.next;
+    } else {
+      row_head_[li] = e.next;
+    }
+    if (e.next != kNoEntry) {
+      link_pool_[e.next].prev = e.prev;
+    }
+    --row_size_[li];
+    RowChanged(e.link, static_cast<size_t>(row_size_[li] + 1));
+  }
+  if (len != 0) {
+    --linked_flows_;
+    MarkReorder(flow);
+  }
+  free_blocks_[len].push_back(off);
+  flow_len_[fi] = 0;
+  --live_flows_;
+  free_flows_.push_back(flow);
+}
 
-  remaining_.assign(capacity_.begin(), capacity_.end());
-  nflows_.assign(num_links, 0);
-  stamp_.assign(num_links, 0);
-  rate_.assign(num_flows, 0.0);
+void IncrementalMaxMin::SetFlowCap(int32_t flow, double cap_bps) {
+  const size_t fi = static_cast<size_t>(flow);
+  if (cap_[fi] == cap_bps) {
+    return;
+  }
+  cap_[fi] = cap_bps;
+  if (flow_len_[fi] == 0) {
+    rate_[fi] = cap_bps;
+  } else {
+    MarkReorder(flow);
+  }
+}
 
-  // CSR build: count per-link flows, prefix-sum, then fill in flow order so each
-  // link's flow sequence matches the reference's push_back order.
-  for (const int32_t l : flow_links_) {
-    if (l >= 0) {
-      ++nflows_[static_cast<size_t>(l)];
+void IncrementalMaxMin::MarkReorder(int32_t flow) {
+  if (reorder_[static_cast<size_t>(flow)] == 0) {
+    reorder_[static_cast<size_t>(flow)] = 1;
+    reorder_list_.push_back(flow);
+  }
+}
+
+void IncrementalMaxMin::RowChanged(int32_t link, size_t old_width) {
+  const size_t li = static_cast<size_t>(link);
+  const size_t width = static_cast<size_t>(row_size_[li]);
+  if (old_width < 2 && width >= 2) {
+    multi_pos_[li] = static_cast<int32_t>(multi_.size());
+    multi_.push_back(link);
+  } else if (old_width >= 2 && width < 2) {
+    const int32_t p = multi_pos_[li];
+    multi_[static_cast<size_t>(p)] = multi_.back();
+    multi_pos_[static_cast<size_t>(multi_.back())] = p;
+    multi_.pop_back();
+    multi_pos_[li] = -1;
+  }
+  if (old_width == 1 || width == 1) {
+    MarkSideDirty(link);
+  }
+}
+
+void IncrementalMaxMin::MarkSideDirty(int32_t link) {
+  if (side_dirty_[static_cast<size_t>(link)] == 0) {
+    side_dirty_[static_cast<size_t>(link)] = 1;
+    side_dirty_list_.push_back(link);
+  }
+}
+
+namespace {
+
+// Restores the sorted `order` after the entries listed in `dirty` (each with
+// its `flag` set) changed: drops their old positions, then merges back, sorted
+// by `less`, those that `belongs` accepts now. O(order + dirty log dirty).
+template <typename Belongs, typename Less>
+void RepairOrder(std::vector<int32_t>& order, std::vector<uint8_t>& flag,
+                 std::vector<int32_t>& dirty, std::vector<int32_t>& fresh, Belongs belongs,
+                 Less less) {
+  if (dirty.empty()) {
+    return;
+  }
+  size_t kept = 0;
+  for (const int32_t x : order) {
+    if (flag[static_cast<size_t>(x)] == 0) {
+      order[kept++] = x;
     }
   }
-  link_off_.assign(num_links + 1, 0);
-  for (size_t l = 0; l < num_links; ++l) {
-    link_off_[l + 1] = link_off_[l] + static_cast<uint32_t>(nflows_[l]);
-  }
-  link_flow_.resize(link_off_[num_links]);
-  fill_cursor_.assign(link_off_.begin(), link_off_.end() - 1);
-  for (size_t i = 0; i < num_flows; ++i) {
-    for (uint32_t off = flow_off_[i]; off < flow_off_[i + 1]; ++off) {
-      const int32_t l = flow_links_[off];
-      if (l >= 0) {
-        link_flow_[fill_cursor_[static_cast<size_t>(l)]++] = static_cast<uint32_t>(i);
-      }
+  fresh.clear();
+  for (const int32_t x : dirty) {
+    flag[static_cast<size_t>(x)] = 0;
+    if (belongs(x)) {
+      fresh.push_back(x);
     }
   }
-
-  // Ascending-cap order. Sorting (cap, index) pairs beats sorting indices with a
-  // gathered comparator (no indirection per comparison). The relative order of
-  // equal caps is whatever the sort produces: equal-cap flows freeze at equal
-  // rates, and subtracting equal values commutes bitwise, so any permutation of
-  // an equal-cap run yields bit-identical results.
-  sort_buf_.resize(num_flows);
-  for (size_t i = 0; i < num_flows; ++i) {
-    sort_buf_[i] = {cap_[i], static_cast<uint32_t>(i)};
+  dirty.clear();
+  std::sort(fresh.begin(), fresh.end(), less);
+  // Merge back to front, in place.
+  order.resize(kept + fresh.size());
+  size_t i = kept;
+  size_t j = fresh.size();
+  size_t k = order.size();
+  while (j > 0) {
+    if (i > 0 && less(fresh[j - 1], order[i - 1])) {
+      order[--k] = order[--i];
+    } else {
+      order[--k] = fresh[--j];
+    }
   }
-  std::sort(sort_buf_.begin(), sort_buf_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  by_cap_.resize(num_flows);
-  for (size_t i = 0; i < num_flows; ++i) {
-    by_cap_[i] = sort_buf_[i].second;
-  }
-
-  frozen_.assign(num_flows, 0);
 }
 
-// The reference algorithm (ReferenceMaxMin above) with every auxiliary structure
-// replaced by a persistent, allocation-free equivalent:
-//   link_flows (vector of vectors)  ->  CSR arrays rebuilt with two linear passes
-//   priority_queue                  ->  the same priority_queue over a reused vector
-//   remaining/nflows/stamp/frozen   ->  assign() into retained capacity
-// Every comparison and arithmetic update mirrors the reference line for line, in
-// the same order, so the produced rates are bit-identical (see header contract).
-void IncrementalMaxMin::Allocate() {
+}  // namespace
+
+void IncrementalMaxMin::SiftUp(size_t i) {
+  const HeapNode node = heap_[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!Before(node, heap_[parent])) {
+      break;
+    }
+    heap_[i] = heap_[parent];
+    pos_[static_cast<size_t>(heap_[i].link)] = static_cast<int32_t>(i);
+    i = parent;
+  }
+  heap_[i] = node;
+  pos_[static_cast<size_t>(node.link)] = static_cast<int32_t>(i);
+}
+
+void IncrementalMaxMin::SiftDown(size_t i) {
+  const HeapNode node = heap_[i];
+  const size_t n = heap_.size();
+  while (true) {
+    size_t child = 2 * i + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], node)) {
+      break;
+    }
+    heap_[i] = heap_[child];
+    pos_[static_cast<size_t>(heap_[i].link)] = static_cast<int32_t>(i);
+    i = child;
+  }
+  heap_[i] = node;
+  pos_[static_cast<size_t>(node.link)] = static_cast<int32_t>(i);
+}
+
+void IncrementalMaxMin::HeapRemove(size_t i) {
+  pos_[static_cast<size_t>(heap_[i].link)] = -1;
+  const HeapNode last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    heap_[i] = last;
+    if (i > 0 && Before(last, heap_[(i - 1) / 2])) {
+      SiftUp(i);
+    } else {
+      SiftDown(i);
+    }
+  }
+}
+
+void IncrementalMaxMin::UpdateHeapLink(int32_t l) {
+  const size_t li = static_cast<size_t>(l);
+  const size_t p = static_cast<size_t>(pos_[li]);
+  if (unfrozen_[li] == 0) {
+    HeapRemove(p);
+    ++heap_updates_;
+    return;
+  }
+  // A raised share waits until the link reaches the top.
+  const double share = remaining_[li] / unfrozen_[li];
+  if (share < heap_[p].key) {
+    heap_[p].key = share;
+    SiftUp(p);
+    ++heap_updates_;
+  }
+}
+
+// The reference's steps over the persistent table. Each step finds the least
+// (share, order) among the live links — the refreshed heap top or the head of
+// the single-flow list — then either freezes the cap-limited flows at or below
+// that share, or saturates that link.
+void IncrementalMaxMin::Allocate(WorkerPool* pool) {
   BULLET_PROFILE_SCOPE(ProfilePhase::kWaterFill);
-  const size_t num_links = capacity_.size();
-  const size_t num_flows = cap_.size();
-
-  BuildEpochScratch();
-  size_t cap_cursor = 0;
-  size_t frozen_count = 0;
+  // Linked flows by ascending cap. Equal caps may land in any relative order:
+  // they freeze in one cap step at one value, so any permutation of an
+  // equal-cap run gives the same bits. A removed flow's link list is empty, so
+  // it drops out like an unlinked one.
+  RepairOrder(
+      by_cap_, reorder_, reorder_list_, fresh_,
+      [this](int32_t f) { return flow_len_[static_cast<size_t>(f)] != 0; },
+      [this](int32_t a, int32_t b) {
+        return cap_[static_cast<size_t>(a)] < cap_[static_cast<size_t>(b)];
+      });
+  // Single-flow links by ascending (capacity, order).
+  RepairOrder(
+      side_, side_dirty_, side_dirty_list_, fresh_,
+      [this](int32_t l) {
+        return order_[static_cast<size_t>(l)] >= 0 && row_size_[static_cast<size_t>(l)] == 1;
+      },
+      [this](int32_t a, int32_t b) {
+        return Before(HeapNode{capacity_[static_cast<size_t>(a)], a},
+                      HeapNode{capacity_[static_cast<size_t>(b)], b});
+      });
+  ++epoch_;
+  heap_updates_ = 0;
 
   heap_.clear();
-  auto push_link = [&](int32_t l) {
-    const size_t li = static_cast<size_t>(l);
-    if (nflows_[li] > 0) {
-      heap_.push(HeapEntry{remaining_[li] / nflows_[li], l, stamp_[li]});
-    }
-  };
-  for (size_t l = 0; l < num_links; ++l) {
-    push_link(static_cast<int32_t>(l));
+  for (const int32_t link : multi_) {
+    const size_t l = static_cast<size_t>(link);
+    const int32_t width = row_size_[l];
+    remaining_[l] = capacity_[l];
+    unfrozen_[l] = width;
+    pos_[l] = static_cast<int32_t>(heap_.size());
+    heap_.push_back(HeapNode{capacity_[l] / width, link});
+  }
+  for (size_t i = heap_.size() / 2; i-- > 0;) {
+    SiftDown(i);
   }
 
-  auto freeze = [&](size_t fi, double rate) {
-    rate_[fi] = std::max(rate, 0.0);
-    frozen_[fi] = 1;
-    ++frozen_count;
-    for (uint32_t off = flow_off_[fi]; off < flow_off_[fi + 1]; ++off) {
-      const int32_t l = flow_links_[off];
-      if (l < 0) {
-        continue;
+  const uint32_t epoch = epoch_;
+  size_t left = linked_flows_;
+  auto freeze = [&](int32_t f, double r) {
+    const size_t fi = static_cast<size_t>(f);
+    const double rate = std::max(r, 0.0);
+    rate_[fi] = rate;
+    frozen_[fi] = epoch;
+    --left;
+    const FlowLink* links = link_pool_.data() + flow_off_[fi];
+    for (uint32_t k = 0; k < flow_len_[fi]; ++k) {
+      const FlowLink& fl = links[k];
+      const size_t li = static_cast<size_t>(fl.link);
+      if (pos_[li] < 0) {
+        continue;  // a single-flow link, or one no unfrozen flow crosses
       }
-      const size_t li = static_cast<size_t>(l);
-      remaining_[li] = std::max(0.0, remaining_[li] - rate_[fi]);
-      --nflows_[li];
-      ++stamp_[li];
-      push_link(l);
+      remaining_[li] = std::max(0.0, remaining_[li] - rate);
+      --unfrozen_[li];
+      UpdateHeapLink(fl.link);
     }
   };
 
-  for (size_t i = 0; i < num_flows; ++i) {
-    bool has_link = false;
-    for (uint32_t off = flow_off_[i]; off < flow_off_[i + 1]; ++off) {
-      has_link |= flow_links_[off] >= 0;
-    }
-    if (!has_link && !frozen_[i]) {
-      frozen_[i] = 1;
-      ++frozen_count;
-      rate_[i] = cap_[i];
-    }
-  }
-
-  while (frozen_count < num_flows) {
-    double min_share = -1.0;
-    int32_t min_link = -1;
+  size_t cap_cursor = 0;
+  size_t side_cursor = 0;
+  while (left > 0) {
     while (!heap_.empty()) {
-      const HeapEntry top = heap_.top();
+      HeapNode& top = heap_[0];
       const size_t li = static_cast<size_t>(top.link);
-      if (top.stamp != stamp_[li] || nflows_[li] <= 0) {
-        heap_.pop();
-        continue;
+      const double share = remaining_[li] / unfrozen_[li];
+      if (!(share > top.key)) {
+        break;
       }
-      min_share = top.share;
-      min_link = top.link;
-      break;
+      top.key = share;
+      SiftDown(0);
+      ++heap_updates_;
     }
-    if (min_link < 0) {
-      for (size_t i = 0; i < num_flows; ++i) {
-        if (!frozen_[i]) {
-          frozen_[i] = 1;
-          ++frozen_count;
-          rate_[i] = cap_[i];
-        }
-      }
-      break;
+    while (side_cursor < side_.size() &&
+           frozen_[static_cast<size_t>(SideFlow(side_cursor))] == epoch) {
+      ++side_cursor;
+    }
+    bool from_side = false;
+    double min_share = 0.0;
+    if (side_cursor < side_.size()) {
+      const size_t sl = static_cast<size_t>(side_[side_cursor]);
+      from_side = heap_.empty() || Before(HeapNode{capacity_[sl], side_[side_cursor]}, heap_[0]);
+      min_share = capacity_[sl];
+    }
+    BULLET_CHECK((from_side || !heap_.empty()) && "unfrozen flows but no live link");
+    if (!from_side) {
+      min_share = heap_[0].key;
     }
 
+    // Flows whose cap is at or below the water level cannot use a full fair
+    // share anywhere (min_share is the global minimum share).
     bool froze_capped = false;
     while (cap_cursor < by_cap_.size()) {
-      const size_t fi = by_cap_[cap_cursor];
-      if (frozen_[fi]) {
+      const int32_t f = by_cap_[cap_cursor];
+      if (frozen_[static_cast<size_t>(f)] == epoch) {
         ++cap_cursor;
         continue;
       }
-      if (cap_[fi] <= min_share) {
-        freeze(fi, cap_[fi]);
+      if (cap_[static_cast<size_t>(f)] <= min_share) {
+        freeze(f, cap_[static_cast<size_t>(f)]);
         ++cap_cursor;
         froze_capped = true;
       } else {
@@ -384,220 +610,98 @@ void IncrementalMaxMin::Allocate() {
       }
     }
     if (froze_capped) {
+      continue;  // the water level may have risen; find the minimum again
+    }
+
+    if (from_side) {
+      freeze(SideFlow(side_cursor), min_share);
+      ++side_cursor;
       continue;
     }
 
-    const size_t li = static_cast<size_t>(min_link);
-    for (uint32_t off = link_off_[li]; off < link_off_[li + 1]; ++off) {
-      const uint32_t fi = link_flow_[off];
-      if (!frozen_[fi]) {
-        freeze(fi, min_share);
-      }
-    }
-    ++stamp_[li];
-  }
-}
-
-// Allocate() with the two parallel-engine optimizations described in the
-// header: per-round batched heap pushes (a saturated-link round bumps each
-// touched link's stamp per freeze as usual but defers the heap push until the
-// round ends, collapsing the heap traffic from one push per freeze-link pair
-// to one per touched link) and sharded wide rounds (a bottleneck row of
-// kShardMinRow+ flows is split into contiguous per-worker ranges; each worker
-// writes its flows' rates — disjoint, since a flow appears once per row — and
-// accumulates per-link demand deltas that the coordinator applies in
-// worker-index order). Selection logic, cap-freezing, and the freeze
-// arithmetic itself are unchanged from Allocate().
-void IncrementalMaxMin::AllocateParallel(WorkerPool* pool) {
-  BULLET_PROFILE_SCOPE(ProfilePhase::kWaterFill);
-  const size_t num_links = capacity_.size();
-  const size_t num_flows = cap_.size();
-
-  // Below this row width a sharded round's barrier cost outweighs the work.
-  constexpr uint32_t kShardMinRow = 512;
-
-  BuildEpochScratch();
-  size_t cap_cursor = 0;
-  size_t frozen_count = 0;
-
-  if (round_stamp_.size() < num_links) {
-    round_stamp_.resize(num_links, 0);
-  }
-  round_touched_.clear();
-
-  heap_.clear();
-  auto push_link = [&](int32_t l) {
-    const size_t li = static_cast<size_t>(l);
-    if (nflows_[li] > 0) {
-      heap_.push(HeapEntry{remaining_[li] / nflows_[li], l, stamp_[li]});
-    }
-  };
-  for (size_t l = 0; l < num_links; ++l) {
-    push_link(static_cast<int32_t>(l));
-  }
-
-  // Records a link as modified this round; end_round() re-pushes each touched
-  // link exactly once, with its final (share, stamp) for the round.
-  auto touch = [&](size_t li) {
-    if (round_stamp_[li] != round_id_) {
-      round_stamp_[li] = round_id_;
-      round_touched_.push_back(static_cast<int32_t>(li));
-    }
-  };
-  auto end_round = [&] {
-    for (const int32_t l : round_touched_) {
-      push_link(l);
-    }
-    round_touched_.clear();
-    ++round_id_;
-  };
-
-  // As Allocate()'s freeze, but deferring the heap push to end_round().
-  auto freeze = [&](size_t fi, double rate) {
-    rate_[fi] = std::max(rate, 0.0);
-    frozen_[fi] = 1;
-    ++frozen_count;
-    for (uint32_t off = flow_off_[fi]; off < flow_off_[fi + 1]; ++off) {
-      const int32_t l = flow_links_[off];
-      if (l < 0) {
-        continue;
-      }
-      const size_t li = static_cast<size_t>(l);
-      remaining_[li] = std::max(0.0, remaining_[li] - rate_[fi]);
-      --nflows_[li];
-      ++stamp_[li];
-      touch(li);
-    }
-  };
-
-  for (size_t i = 0; i < num_flows; ++i) {
-    bool has_link = false;
-    for (uint32_t off = flow_off_[i]; off < flow_off_[i + 1]; ++off) {
-      has_link |= flow_links_[off] >= 0;
-    }
-    if (!has_link && !frozen_[i]) {
-      frozen_[i] = 1;
-      ++frozen_count;
-      rate_[i] = cap_[i];
-    }
-  }
-
-  while (frozen_count < num_flows) {
-    double min_share = -1.0;
-    int32_t min_link = -1;
-    while (!heap_.empty()) {
-      const HeapEntry top = heap_.top();
-      const size_t li = static_cast<size_t>(top.link);
-      if (top.stamp != stamp_[li] || nflows_[li] <= 0) {
-        heap_.pop();
-        continue;
-      }
-      min_share = top.share;
-      min_link = top.link;
-      break;
-    }
-    if (min_link < 0) {
-      for (size_t i = 0; i < num_flows; ++i) {
-        if (!frozen_[i]) {
-          frozen_[i] = 1;
-          ++frozen_count;
-          rate_[i] = cap_[i];
+    // Saturate the bottleneck: freeze all its unfrozen flows at the fair share.
+    // It leaves the heap first, so the freezes skip its own bookkeeping.
+    const size_t bottleneck = static_cast<size_t>(heap_[0].link);
+    HeapRemove(0);
+    ++heap_updates_;
+    if (pool == nullptr || pool->num_threads() < 2 ||
+        static_cast<size_t>(row_size_[bottleneck]) < kShardMinRow) {
+      for (uint32_t e = row_head_[bottleneck]; e != kNoEntry; e = link_pool_[e].next) {
+        const int32_t f = link_pool_[e].flow;
+        if (frozen_[static_cast<size_t>(f)] != epoch) {
+          freeze(f, min_share);
         }
       }
-      break;
-    }
-
-    bool froze_capped = false;
-    while (cap_cursor < by_cap_.size()) {
-      const size_t fi = by_cap_[cap_cursor];
-      if (frozen_[fi]) {
-        ++cap_cursor;
-        continue;
-      }
-      if (cap_[fi] <= min_share) {
-        freeze(fi, cap_[fi]);
-        ++cap_cursor;
-        froze_capped = true;
-      } else {
-        break;
-      }
-    }
-    if (froze_capped) {
-      end_round();
       continue;
     }
+    // The workers split the row by position.
+    row_scratch_.clear();
+    for (uint32_t e = row_head_[bottleneck]; e != kNoEntry; e = link_pool_[e].next) {
+      row_scratch_.push_back(link_pool_[e].flow);
+    }
+    const std::vector<int32_t>& row = row_scratch_;
 
-    const size_t li = static_cast<size_t>(min_link);
-    const uint32_t row_lo = link_off_[li];
-    const uint32_t row_hi = link_off_[li + 1];
-    if (pool != nullptr && pool->num_threads() > 1 && row_hi - row_lo >= kShardMinRow) {
-      const int nw = pool->num_threads();
-      if (shards_.size() < static_cast<size_t>(nw)) {
-        shards_.resize(static_cast<size_t>(nw));
+    // Wide round: contiguous row ranges per worker, deltas applied in worker
+    // order.
+    const int nw = pool->num_threads();
+    if (shards_.size() < static_cast<size_t>(nw)) {
+      shards_.resize(static_cast<size_t>(nw));
+    }
+    const uint64_t round = ++round_id_;
+    const size_t num_links = order_.size();
+    const uint64_t width = row.size();
+    pool->RunOnAll([&](int w) {
+      ShardScratch& s = shards_[static_cast<size_t>(w)];
+      if (s.stamp.size() < num_links) {
+        s.stamp.resize(num_links, 0);
+        s.delta.resize(num_links, 0.0);
+        s.dcount.resize(num_links, 0);
       }
-      const uint64_t round = round_id_;
-      const uint64_t width = row_hi - row_lo;
-      pool->RunOnAll([&](int w) {
-        ShardScratch& s = shards_[static_cast<size_t>(w)];
-        if (s.stamp.size() < num_links) {
-          s.stamp.resize(num_links, 0);
-          s.delta.resize(num_links, 0.0);
-          s.dcount.resize(num_links, 0);
+      s.touched.clear();
+      s.frozen = 0;
+      const size_t lo = static_cast<size_t>(width * static_cast<uint64_t>(w) / nw);
+      const size_t hi = static_cast<size_t>(width * (static_cast<uint64_t>(w) + 1) / nw);
+      for (size_t k = lo; k < hi; ++k) {
+        const size_t fi = static_cast<size_t>(row[k]);
+        // Flows frozen this round live in other workers' ranges and are
+        // never read here, so this flag is stable for the whole round.
+        if (frozen_[fi] == epoch) {
+          continue;
         }
-        s.touched.clear();
-        s.frozen = 0;
-        const uint32_t lo = row_lo + static_cast<uint32_t>(width * static_cast<uint64_t>(w) / nw);
-        const uint32_t hi =
-            row_lo + static_cast<uint32_t>(width * (static_cast<uint64_t>(w) + 1) / nw);
-        for (uint32_t off = lo; off < hi; ++off) {
-          const uint32_t fi = link_flow_[off];
-          // Flows frozen this round live in other workers' ranges and are
-          // never read here, so this flag is stable for the whole round.
-          if (frozen_[fi]) {
+        rate_[fi] = std::max(min_share, 0.0);
+        frozen_[fi] = epoch;
+        ++s.frozen;
+        const FlowLink* links = link_pool_.data() + flow_off_[fi];
+        for (uint32_t k = 0; k < flow_len_[fi]; ++k) {
+          const FlowLink& fl = links[k];
+          const size_t lj = static_cast<size_t>(fl.link);
+          if (pos_[lj] < 0) {
             continue;
           }
-          rate_[fi] = std::max(min_share, 0.0);
-          frozen_[fi] = 1;
-          ++s.frozen;
-          for (uint32_t foff = flow_off_[fi]; foff < flow_off_[fi + 1]; ++foff) {
-            const int32_t l = flow_links_[foff];
-            if (l < 0) {
-              continue;
-            }
-            const size_t lj = static_cast<size_t>(l);
-            if (s.stamp[lj] != round) {
-              s.stamp[lj] = round;
-              s.delta[lj] = 0.0;
-              s.dcount[lj] = 0;
-              s.touched.push_back(l);
-            }
-            s.delta[lj] += rate_[fi];
-            ++s.dcount[lj];
+          if (s.stamp[lj] != round) {
+            s.stamp[lj] = round;
+            s.delta[lj] = 0.0;
+            s.dcount[lj] = 0;
+            s.touched.push_back(fl.link);
           }
-        }
-      });
-      for (int w = 0; w < nw; ++w) {
-        ShardScratch& s = shards_[static_cast<size_t>(w)];
-        frozen_count += s.frozen;
-        for (const int32_t l : s.touched) {
-          const size_t lj = static_cast<size_t>(l);
-          remaining_[lj] = std::max(0.0, remaining_[lj] - s.delta[lj]);
-          nflows_[lj] -= s.dcount[lj];
-          ++stamp_[lj];
-          touch(lj);
+          s.delta[lj] += rate_[fi];
+          ++s.dcount[lj];
         }
       }
-    } else {
-      for (uint32_t off = row_lo; off < row_hi; ++off) {
-        const uint32_t fi = link_flow_[off];
-        if (!frozen_[fi]) {
-          freeze(fi, min_share);
-        }
+    });
+    for (int w = 0; w < nw; ++w) {
+      ShardScratch& s = shards_[static_cast<size_t>(w)];
+      left -= s.frozen;
+      for (const int32_t l : s.touched) {
+        const size_t lj = static_cast<size_t>(l);
+        remaining_[lj] = std::max(0.0, remaining_[lj] - s.delta[lj]);
+        unfrozen_[lj] -= s.dcount[lj];
+        UpdateHeapLink(l);
       }
     }
-    ++stamp_[li];
-    end_round();
   }
+  // Every linked flow froze, so every heap link lost its last unfrozen flow.
+  BULLET_CHECK(heap_.empty() && "heap links outlived their flows");
 }
 
 }  // namespace bullet

@@ -11,50 +11,58 @@
 // Two implementations share the algorithm:
 //
 //  * AllocateMaxMin / AllocateMaxMinPaths — the stateless reference. Builds every
-//    auxiliary structure per call; kept as the ground truth the property tests
-//    compare against and as the pre-PR "full recompute every quantum" network
-//    mode. AllocateMaxMin is the historical fixed-3-link entry point; Paths takes
-//    a variable-length link list per flow. Both funnel into one reference body,
-//    and a 3-link flow performs the identical arithmetic through either.
+//    auxiliary structure per call over a lazy-deletion heap; kept as the ground
+//    truth the property tests compare against and as the network's
+//    full-recompute-every-quantum mode. AllocateMaxMin is the historical
+//    fixed-3-link entry point; Paths takes a variable-length link list per flow.
+//    Both funnel into one reference body.
 //
-//  * IncrementalMaxMin — the hot-path engine. All scratch (per-link flow lists as
-//    a CSR array, the saturation heap, the cap-sorted index, freeze flags)
-//    persists across allocation epochs, so a recompute performs zero heap
-//    allocations after warm-up. Callers dirty-track their flow set and simply
-//    skip Allocate() when nothing changed: the previous rates are, by
-//    determinism, exactly what a recompute would produce.
+//  * IncrementalMaxMin — the hot-path engine over a persistent flow table. The
+//    caller tells it what changed between epochs (a flow added or removed, a
+//    flow's cap, a link's capacity) instead of re-feeding the whole flow set;
+//    the per-link flow rows, the ascending-cap order and the order of
+//    single-flow links are kept across epochs and repaired, not rebuilt.
+//    Callers dirty-track their flow set and skip Allocate() when nothing
+//    changed: the previous rates are exactly what a recompute would produce.
 //
-// Bit-exactness contract: for the same sequence of links and flows (same link
-// ids, same per-flow link order), IncrementalMaxMin::Allocate() produces rates
-// bit-identical to the reference. This is load-bearing — the max-min water level
-// is a chain of FP subtractions whose low-order bits depend on freeze order, and
-// freeze order depends on flow and link numbering (sort and heap tie-breaks).
-// Both implementations therefore perform the identical operation sequence (same
-// sort call, same heap algorithm, same update arithmetic), and the network feeds
-// them flows in the identical order. Equal-cap flows may be permuted by the sort:
-// they freeze at equal rates, and subtracting equal values commutes bitwise, so
-// such permutations are harmless. Partial recomputation of "affected bottleneck
-// groups" cannot meet this contract (restricting the heap to a subgraph changes
-// tie resolution), which is why incrementality here means exact result reuse
-// plus allocation-free rebuild rather than subgraph water-filling.
+// Canonical order, and the bit-exactness contract. The most constrained link is
+// the minimum by (share, link order), where a link's order is its index into
+// the capacity vector for the reference and the `order` key given to AddLink()
+// for the incremental engine. Under that order the result is a pure function of
+// the inputs — the link capacities and orders, and the multiset of flows (link
+// list, cap) — and does not depend on flow numbering, on the order of a link's
+// flow row, or on how ties between equal caps are sorted: flows frozen in one
+// step freeze at one value, and subtracting equal values commutes bitwise.
+// IncrementalMaxMin::Allocate() therefore produces rates bit-identical to the
+// reference over the same links and flows, whatever sequence of changes built
+// its table, and Allocate(pool) without a wide round equals Allocate(nullptr).
+//
+// How the engine does less work for the same result:
+//  * an indexed binary heap holds only the links that carry two or more flows
+//    at the start of the epoch, with no stale entries. A freeze that lowers a
+//    link's share (FP wobble) updates its key eagerly; a freeze that raises it
+//    (the normal case) is applied lazily: the top's share is recomputed and
+//    sifted down before the top is used, so every stored key is at most the
+//    link's true share and a refreshed top is the true minimum;
+//  * a link with exactly one flow never enters the heap. Its share is its
+//    capacity until that flow freezes, so these links sit in one list sorted by
+//    (capacity, order), and each step compares the heap top against the head of
+//    that list — the step the reference's heap would take, without the heap
+//    traffic. On the mesh most private core links carry a single flow.
+//
+// Parallel rounds: with a WorkerPool of two or more threads, a saturation round
+// whose bottleneck row holds kShardMinRow or more flows is split into
+// contiguous per-worker row ranges; each worker writes its flows' rates
+// (disjoint) and accumulates per-link demand deltas, which the caller applies
+// in worker-index order. Those per-worker partial sums are the only arithmetic
+// that differs from Allocate(nullptr); results depend on the worker count and
+// on the row order the table's history produced, never on thread scheduling.
 //
 // Thread-safety: the free functions are safe to call concurrently on disjoint
 // arguments (they touch only their parameters); an IncrementalMaxMin instance
-// is single-threaded — its persistent scratch belongs to one Network.
-// AllocateParallel() is still driven from that single owning thread; it only
-// fans work out through a WorkerPool whose barrier brackets every shared
+// is single-threaded — its persistent state belongs to one Network. A wide
+// round fans work out through the pool, whose barrier brackets every shared
 // access, so no concurrent calls into the instance ever occur.
-//
-// AllocateParallel() determinism: results depend on the pool's worker count
-// but never on thread scheduling — workers fill disjoint flow ranges and the
-// coordinator merges their per-link deltas in worker-index order. It is NOT
-// bit-identical to Allocate() in general: freezes within a saturation round
-// are subtracted from each link as per-worker partial sums rather than one at
-// a time, and the reduced heap traffic can resolve exact FP share ties between
-// different links in a different order. On capacity sets where the arithmetic
-// is exact (e.g. power-of-two capacities) and ties are between equal shares,
-// both effects vanish and the two entry points agree bitwise — the invariants
-// tests pin this on such a network.
 //
 // Profiling: the water-filling body runs under a `water_fill` timed scope
 // (src/common/profiler.h) — distinct from the network's enclosing
@@ -66,7 +74,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace bullet {
@@ -90,8 +97,8 @@ struct PathFlowSpec {
   double rate_bps = 0.0;  // output
 };
 
-// Computes the allocation in place. `link_capacity_bps[i]` is the capacity of link i.
-// Runs in O(F log F + saturation events * log L).
+// Computes the allocation in place. `link_capacity_bps[i]` is the capacity of link
+// i, and i is its canonical order. Runs in O(F log F + saturation events * log L).
 void AllocateMaxMin(std::vector<FlowSpec>& flows, const std::vector<double>& link_capacity_bps);
 
 // As AllocateMaxMin, for flows that cross arbitrary-length link lists. A flow
@@ -100,109 +107,139 @@ void AllocateMaxMin(std::vector<FlowSpec>& flows, const std::vector<double>& lin
 void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
                          const std::vector<double>& link_capacity_bps);
 
-// Reusable-scratch max-min engine. Usage per allocation epoch:
+// Persistent-table max-min engine. Links and flows live in slots that stay
+// valid until removed; freed slots are reused last-in first-out, so the slot
+// sequence is deterministic for a given call sequence.
 //
-//   alloc.BeginEpoch();
-//   for each link (fixed ids first, discovered ones after): alloc.AddLink(capacity);
-//   for each flow in the caller's canonical order:
-//     alloc.AddFlow(l0, l1, l2, cap);            // legacy fixed-3 form, or
-//     alloc.AddFlowPath(ids, num_ids, cap);      // routed variable-length form
-//   alloc.Allocate();
-//   ... alloc.rate(i) ...
-//
-// Results stay valid until the next BeginEpoch(), which lets callers reuse rates
-// across quanta in which the flow set, caps, and capacities are all unchanged.
+//   int32_t l = alloc.AddLink(order, capacity);   // once per link
+//   int32_t f = alloc.AddFlow(links, n, cap);      // when a flow starts
+//   alloc.SetFlowCap(f, cap);                       // when its cap moves
+//   alloc.SetCapacity(l, capacity);                 // when a link changes
+//   alloc.RemoveFlow(f);                            // when it ends
+//   alloc.Allocate();  ... alloc.rate(f) ...
 class IncrementalMaxMin {
  public:
-  // Resets the flow/link set for a new epoch; previously returned rates are
-  // invalidated. Scratch capacity is retained. The first `keep_links` link
-  // capacities survive into the new epoch (callers pass the count of fixed
-  // access links when they verified those capacities did not change, skipping
-  // 2n AddLink calls per epoch); pass 0 to start from an empty link set.
-  void BeginEpoch(size_t keep_links = 0);
+  // Registers a link and returns its slot. `order` is the link's canonical
+  // tie-break key: non-negative and unique among live links.
+  int32_t AddLink(int64_t order, double capacity_bps);
+  // Frees a link slot. No flow may cross it.
+  void RemoveLink(int32_t link);
+  void SetCapacity(int32_t link, double capacity_bps);
 
-  // Registers the next link; ids are assigned densely in call order.
-  int32_t AddLink(double capacity_bps);
-
-  // Registers the next flow (index = number of AddFlow* calls so far this epoch).
-  // Unused link slots are -1.
-  void AddFlow(int32_t l0, int32_t l1, int32_t l2, double cap_bps);
-
-  // Registers the next flow crossing `num_ids` links (negative ids are ignored).
-  void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps);
-
-  // Water-fills the current epoch. Bit-identical to the stateless reference over
-  // the same links/flows sequence.
-  void Allocate();
-
-  // Water-fills the current epoch with the parallel engine's variant: heap
-  // pushes are batched per saturation round (one push per touched link instead
-  // of one per freeze), and rounds whose bottleneck row is wide are sharded
-  // across `pool`'s workers (disjoint rate writes; per-link demand deltas
-  // reduced in worker-index order). `pool` may be null, which keeps every
-  // round on the calling thread but retains the batched-push arithmetic. See
-  // the header comment for the determinism contract relative to Allocate().
-  void AllocateParallel(WorkerPool* pool);
-
-  size_t num_flows() const { return cap_.size(); }
-  size_t num_links() const { return capacity_.size(); }
-  double rate(size_t flow_index) const { return rate_[flow_index]; }
-  const std::vector<double>& rates() const { return rate_; }
-
-  // Number of flows the last Allocate() saw on `link` (CSR row width). Valid
-  // until the next BeginEpoch(); used by the network's shared-bottleneck
-  // introspection.
-  int32_t flows_on_link(size_t link) const {
-    return static_cast<int32_t>(link_off_[link + 1] - link_off_[link]);
+  // Bound on link slot ids (live and free); a slot is live iff link_order >= 0.
+  size_t link_slots() const { return order_.size(); }
+  int64_t link_order(int32_t link) const { return order_[static_cast<size_t>(link)]; }
+  double capacity(int32_t link) const { return capacity_[static_cast<size_t>(link)]; }
+  // Flows crossing `link` (a flow listing it twice counts twice).
+  int32_t flows_on_link(int32_t link) const {
+    return row_size_[static_cast<size_t>(link)];
   }
 
+  // Registers a flow crossing `num_links` link slots (negative ids are
+  // ignored) and returns its slot. A flow that crosses no link is allocated
+  // its cap.
+  int32_t AddFlow(const int32_t* links, size_t num_links, double cap_bps);
+  void RemoveFlow(int32_t flow);
+  void SetFlowCap(int32_t flow, double cap_bps);
+
+  // Water-fills the current table. With a pool of two or more workers, wide
+  // saturation rounds are sharded across it (see the header comment).
+  void Allocate(WorkerPool* pool = nullptr);
+
+  // Rate of a live flow as of the last Allocate() that saw it.
+  double rate(int32_t flow) const { return rate_[static_cast<size_t>(flow)]; }
+  size_t num_flows() const { return live_flows_; }
+  // Heap sifts and removals the last Allocate() performed (work counter).
+  uint64_t heap_updates() const { return heap_updates_; }
+
  private:
-  // Rebuilds the per-epoch scratch (remaining capacities, CSR link->flow rows,
-  // ascending-cap order, frozen flags, zeroed rates) from the epoch inputs.
-  // Pure data movement shared by Allocate() and AllocateParallel().
-  void BuildEpochScratch();
+  // Below this row width a sharded round's barrier cost outweighs the work.
+  static constexpr size_t kShardMinRow = 512;
 
-  struct HeapEntry {
-    double share;
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  // One (flow, link) pair: an entry of the flow's link list, threaded into
+  // the link's row — a doubly linked list through link_pool_.
+  struct FlowLink {
     int32_t link;
-    uint32_t stamp;
-    bool operator>(const HeapEntry& o) const { return share > o.share; }
+    int32_t flow;
+    uint32_t prev;  // row neighbours, kNoEntry at the ends
+    uint32_t next;
   };
-  // std::priority_queue with a drainable underlying container, so the heap's
-  // storage survives across epochs. Same element order semantics as the
-  // reference implementation's priority_queue.
-  struct ReusableHeap
-      : std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> {
-    void clear() { c.clear(); }
-    void reserve(size_t n) { c.reserve(n); }
+  struct HeapNode {
+    double key;  // at most the link's current share (increases apply lazily)
+    int32_t link;
   };
+  bool Before(const HeapNode& a, const HeapNode& b) const {
+    return a.key < b.key ||
+           (a.key == b.key && order_[static_cast<size_t>(a.link)] <
+                                  order_[static_cast<size_t>(b.link)]);
+  }
 
-  // Epoch inputs. Flows are stored CSR-style: flow i crosses
-  // flow_links_[flow_off_[i] .. flow_off_[i+1]).
-  std::vector<double> capacity_;     // per link
-  std::vector<int32_t> flow_links_;  // CSR payload (may contain negative = unused)
-  std::vector<uint32_t> flow_off_;   // CSR offsets, size F+1
-  std::vector<double> cap_;          // per flow
-  std::vector<double> rate_;         // per flow (output)
+  void SiftUp(size_t i);
+  void SiftDown(size_t i);
+  void HeapRemove(size_t i);
+  // Applies a lowered remaining capacity / flow count to heap link `l`:
+  // removes it once no unfrozen flow crosses it, else lowers its key if the
+  // share dropped.
+  void UpdateHeapLink(int32_t l);
+  void MarkReorder(int32_t flow);
+  // Records a flow entering or leaving `link`'s row: keeps the multi-flow
+  // link list current and marks the link for the single-flow order repair.
+  void RowChanged(int32_t link, size_t old_width);
+  void MarkSideDirty(int32_t link);
+  // The one flow on the single-flow link side_[i].
+  int32_t SideFlow(size_t i) const {
+    return link_pool_[row_head_[static_cast<size_t>(side_[i])]].flow;
+  }
 
-  // Scratch reused across epochs.
-  std::vector<double> remaining_;
-  std::vector<int32_t> nflows_;
-  std::vector<uint32_t> stamp_;
-  std::vector<uint32_t> link_off_;    // CSR offsets, size L+1
-  std::vector<uint32_t> link_flow_;   // CSR payload: flow indices per link, flow order
-  std::vector<uint32_t> fill_cursor_;
-  std::vector<std::pair<double, uint32_t>> sort_buf_;  // (cap, flow) pairs
-  std::vector<size_t> by_cap_;
-  std::vector<char> frozen_;
-  ReusableHeap heap_;
+  // Links (per slot).
+  std::vector<double> capacity_;
+  std::vector<int64_t> order_;  // -1 for a free slot
+  std::vector<uint32_t> row_head_;  // first entry of the link's row
+  std::vector<int32_t> row_size_;
+  std::vector<uint8_t> side_dirty_;
+  std::vector<int32_t> side_dirty_list_;
+  // Links whose row holds two or more entries (the heap's candidates), any
+  // order; multi_pos_[l] is l's index there, -1 when absent.
+  std::vector<int32_t> multi_;
+  std::vector<int32_t> multi_pos_;
+  std::vector<int32_t> free_links_;
 
-  // AllocateParallel scratch. round_id_ is monotonically increasing across
-  // epochs and never reset, so the stamp arrays need no per-epoch clearing:
-  // a stale stamp from any earlier round or epoch simply compares unequal.
-  uint64_t round_id_ = 1;
-  std::vector<uint64_t> round_stamp_;   // per link: round that last touched it
-  std::vector<int32_t> round_touched_;  // links touched this round, first-touch order
+  // Flows (per slot). Flow f crosses link_pool_[flow_off_[f] ..
+  // flow_off_[f] + flow_len_[f]); a removed flow's block goes to
+  // free_blocks_[len] for the next flow of that length.
+  std::vector<FlowLink> link_pool_;
+  std::vector<uint32_t> flow_off_;
+  std::vector<uint32_t> flow_len_;
+  std::vector<std::vector<uint32_t>> free_blocks_;
+  std::vector<double> cap_;
+  std::vector<double> rate_;
+  std::vector<uint8_t> reorder_;
+  std::vector<int32_t> reorder_list_;
+  std::vector<int32_t> free_flows_;
+  size_t live_flows_ = 0;
+  size_t linked_flows_ = 0;  // live flows crossing at least one link
+
+  // Orders kept across epochs and repaired at each Allocate() from the flows
+  // and links changed since: linked flows by ascending cap; single-flow links
+  // by ascending (capacity, order).
+  std::vector<int32_t> by_cap_;
+  std::vector<int32_t> side_;
+  std::vector<int32_t> fresh_;        // repair scratch
+  std::vector<int32_t> row_scratch_;  // a wide row's flows, for the workers
+
+  // Per-epoch state. A flow is frozen in this epoch iff frozen_[f] == epoch_.
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> frozen_;
+  std::vector<double> remaining_;  // per link, valid while in the heap
+  std::vector<int32_t> unfrozen_;  // per link, valid while in the heap
+  std::vector<int32_t> pos_;       // per link: heap index, -1 when absent
+  std::vector<HeapNode> heap_;
+  uint64_t heap_updates_ = 0;
+
+  // Sharded-round scratch. round_id_ only grows, so a stale stamp from any
+  // earlier round compares unequal and the arrays need no clearing.
+  uint64_t round_id_ = 0;
   struct ShardScratch {
     std::vector<uint64_t> stamp;   // per link: round of last accumulation
     std::vector<double> delta;     // per link: demand frozen by this worker

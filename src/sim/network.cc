@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -49,9 +48,7 @@ Network::Network(std::unique_ptr<Topology> topology, NetworkConfig config, uint6
       tx_bytes_(static_cast<size_t>(topology_->num_nodes()), 0),
       rx_bytes_(static_cast<size_t>(topology_->num_nodes()), 0),
       failed_(static_cast<size_t>(topology_->num_nodes()), 0) {
-  const size_t interior_ids = static_cast<size_t>(topology_->interior_id_limit());
-  interior_epoch_.assign(interior_ids, 0);
-  interior_link_id_.assign(interior_ids, -1);
+  interior_link_id_.assign(static_cast<size_t>(topology_->interior_id_limit()), -1);
   BuildPartitions();
 }
 
@@ -226,10 +223,12 @@ void Network::CloseAt(ConnId conn_id, SimTime at) {
     return;
   }
   c->closed = true;
-  for (auto& dir : c->body->dir) {
+  for (int i = 0; i < 2; ++i) {
+    Direction& dir = c->body->dir[i];
     if (c->established && !dir.queue.empty()) {
       --active_dirs_;
     }
+    UntrackFlow(*c, i);
     dir.queue.clear_and_release();
     dir.queued_bytes = 0;
     dir.rate_bps = 0.0;
@@ -237,7 +236,7 @@ void Network::CloseAt(ConnId conn_id, SimTime at) {
   BusyByte(*c) = 0;
   // The next quantum boundary compacts this entry out of open_conns_ (doing it
   // right here would reorder the list differently from one batched pass and
-  // change max-min tie-breaking; see RebuildAndAllocate).
+  // change the order transmissions advance in; see CompactOpenConns).
   ++pending_close_;
   alloc_dirty_ = true;
   // Notify both ends asynchronously; the remote end hears after one path delay.
@@ -313,6 +312,62 @@ void Network::ActivateDirection(Conn& c, int dir_idx) {
   BusyByte(c) |= static_cast<uint8_t>(1 << dir_idx);
   ++active_dirs_;
   alloc_dirty_ = true;
+  if (config_.allocator_mode == NetworkConfig::AllocatorMode::kIncremental) {
+    TrackFlow(c, dir_idx);
+  }
+}
+
+// The flow's allocator link list: uplink, downlink, then the interior links in
+// path order. Its cap is set by the next rebuild (a new flow's cap is never
+// steady yet).
+void Network::TrackFlow(Conn& c, int i) {
+  const int n = topology_->num_nodes();
+  if (alloc_.link_slots() == 0) {
+    // First flow of the run: the access links take slots 0 .. 2n-1, equal to
+    // their canonical order (uplink i is i, downlink i is n + i), before any
+    // interior link takes a slot.
+    for (NodeId k = 0; k < n; ++k) {
+      alloc_.AddLink(k, topology_->uplink(k).bandwidth_bps);
+    }
+    for (NodeId k = 0; k < n; ++k) {
+      alloc_.AddLink(n + k, topology_->downlink(k).bandwidth_bps);
+    }
+  }
+  flow_link_scratch_.clear();
+  flow_link_scratch_.push_back(c.node[i]);
+  flow_link_scratch_.push_back(n + c.node[1 - i]);
+  const PathCache& path = c.body->path[i];
+  for (const int32_t* it = PathInteriorBegin(c, path); it != PathInteriorEnd(c, path); ++it) {
+    const size_t key = static_cast<size_t>(*it);
+    // The slot table was sized from interior_id_limit() at construction; a
+    // topology that grew interior links afterwards would index past it.
+    BULLET_CHECK(key < interior_link_id_.size() &&
+                 "topology gained interior links after the network was built");
+    if (interior_link_id_[key] < 0) {
+      interior_link_id_[key] =
+          alloc_.AddLink(int64_t{2} * n + *it, topology_->interior_link(*it).bandwidth_bps);
+    }
+    flow_link_scratch_.push_back(interior_link_id_[key]);
+  }
+  Direction& dir = c.body->dir[i];
+  dir.flow = alloc_.AddFlow(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache);
+}
+
+void Network::UntrackFlow(Conn& c, int i) {
+  Direction& dir = c.body->dir[i];
+  if (dir.flow < 0) {
+    return;
+  }
+  alloc_.RemoveFlow(dir.flow);
+  dir.flow = -1;
+  const PathCache& path = c.body->path[i];
+  for (const int32_t* it = PathInteriorBegin(c, path); it != PathInteriorEnd(c, path); ++it) {
+    int32_t& slot = interior_link_id_[static_cast<size_t>(*it)];
+    if (slot >= 0 && alloc_.flows_on_link(slot) == 0) {
+      alloc_.RemoveLink(slot);
+      slot = -1;
+    }
+  }
 }
 
 // The introspection calls answer a bodyless connection (not yet registered,
@@ -419,10 +474,11 @@ void Network::FailNode(NodeId node) {
 
 // Removes closed connections in one ascending-position swap-with-back pass — the
 // exact pass the pre-PR tick ran every quantum. Batch shape matters: the
-// resulting permutation feeds the allocator, whose FP tie-breaking depends on
-// flow order, so closes are compacted per quantum boundary rather than one by
-// one at Close() time. A dropped connection's body goes to the free list; its
-// header keeps answering queries (see Conn).
+// resulting permutation is the order AdvanceTransmissions serves flows in, and
+// so the order same-time deliveries are scheduled in; closes are therefore
+// compacted per quantum boundary rather than one by one at Close() time. A
+// dropped connection's body goes to the free list; its header keeps answering
+// queries (see Conn).
 void Network::CompactOpenConns() {
   for (size_t i = 0; i < open_conns_.size();) {
     Conn* c = GetConn(open_conns_[i]);
@@ -459,81 +515,46 @@ void Network::AllocatorTick() {
   }
 
   if (active_dirs_ > 0) {
-    const bool caps_same = CapacitiesUnchanged();
-    if (alloc_dirty_ || !caps_same) {
-      RebuildAndAllocate(caps_same);
+    const bool caps_changed = SyncCapacities();
+    if (alloc_dirty_ || caps_changed) {
+      RebuildAndAllocate();
     }
     AdvanceTransmissions(dt_sec);
   }
 }
 
-// True when every link capacity the last allocation used is unchanged, so the
-// cached rates are still exact. Covers all access links plus the interior links
-// that carried flows; links without flows cannot influence the allocation.
-bool Network::CapacitiesUnchanged() const {
-  const int n = topology_->num_nodes();
-  if (base_caps_.size() != static_cast<size_t>(2 * n)) {
-    return false;  // never allocated yet
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    if (topology_->uplink(i).bandwidth_bps != base_caps_[static_cast<size_t>(i)] ||
-        topology_->downlink(i).bandwidth_bps != base_caps_[static_cast<size_t>(n + i)]) {
-      return false;
+// Covers all access links plus the interior links that busy flows cross;
+// links without flows cannot influence the allocation.
+bool Network::SyncCapacities() {
+  const int64_t n = topology_->num_nodes();
+  bool changed = false;
+  for (size_t l = 0; l < alloc_.link_slots(); ++l) {
+    const int32_t link = static_cast<int32_t>(l);
+    const int64_t order = alloc_.link_order(link);
+    if (order < 0) {
+      continue;
+    }
+    const LinkParams& params =
+        order < n       ? topology_->uplink(static_cast<NodeId>(order))
+        : order < 2 * n ? topology_->downlink(static_cast<NodeId>(order - n))
+                        : topology_->interior_link(static_cast<int32_t>(order - 2 * n));
+    if (params.bandwidth_bps != alloc_.capacity(link)) {
+      alloc_.SetCapacity(link, params.bandwidth_bps);
+      changed = true;
     }
   }
-  for (const InteriorCap& ic : interior_caps_) {
-    if (topology_->interior_link(ic.id).bandwidth_bps != ic.cap) {
-      return false;
-    }
-  }
-  return true;
+  return changed;
 }
 
-int32_t Network::InteriorLinkIdForEpoch(int32_t interior_id) {
-  const size_t key = static_cast<size_t>(interior_id);
-  // The epoch tables were sized from interior_id_limit() at construction; a
-  // topology that grew interior links afterwards would index past them.
-  BULLET_CHECK(key < interior_epoch_.size() &&
-               "topology gained interior links after the network was built");
-  if (interior_epoch_[key] != epoch_counter_) {
-    interior_epoch_[key] = epoch_counter_;
-    const double cap = topology_->interior_link(interior_id).bandwidth_bps;
-    interior_link_id_[key] = alloc_.AddLink(cap);
-    interior_caps_.push_back(InteriorCap{interior_id, cap});
-  }
-  return interior_link_id_[key];
-}
-
-// Rebuilds the active flow set and re-runs water-filling. Link ids and flow
-// order replicate the pre-routed tick exactly: uplink(i) = i, downlink(i) = n + i,
-// interior links assigned densely in first-use order while scanning open_conns_ —
-// the allocator's FP results depend on these orders (see bandwidth_allocator.h).
-// The scan and CSR assembly are serial; the TCP-cap evaluation touches only
-// per-flow state, so under the parallel engine it may shard over the worker
-// pool without changing a bit.
-void Network::RebuildAndAllocate(bool base_caps_unchanged) {
+// Evaluates the busy flows' TCP caps and re-runs water-filling over the
+// allocator's table. The scan over open_conns_ also lists the busy flows in
+// the order AdvanceTransmissions serves them. The TCP-cap evaluation touches
+// only per-flow state, so under the parallel engine it may shard over the
+// worker pool without changing a bit.
+void Network::RebuildAndAllocate() {
   BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
   ++allocator_epochs_;
   const int n = topology_->num_nodes();
-  if (base_caps_unchanged && base_caps_.size() == static_cast<size_t>(2 * n)) {
-    // Access-link capacities are verified unchanged; keep them in place.
-    alloc_.BeginEpoch(static_cast<size_t>(2 * n));
-  } else {
-    alloc_.BeginEpoch(0);
-    base_caps_.resize(static_cast<size_t>(2 * n));
-    for (NodeId i = 0; i < n; ++i) {
-      const double up = topology_->uplink(i).bandwidth_bps;
-      alloc_.AddLink(up);
-      base_caps_[static_cast<size_t>(i)] = up;
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      const double down = topology_->downlink(i).bandwidth_bps;
-      alloc_.AddLink(down);
-      base_caps_[static_cast<size_t>(n + i)] = down;
-    }
-  }
-  ++epoch_counter_;
-  interior_caps_.clear();
   cached_flows_.clear();
   ramping_flows_ = 0;
 
@@ -583,8 +604,7 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
     }
   }
 
-  // The canonical busy-flow scan (serial): flow order, interior-link
-  // numbering and CSR assembly. Main-table connections are filtered by their
+  // The busy-flow scan (serial). Main-table connections are filtered by their
   // flat busy byte before the Conn is touched (most connections are idle in
   // any given quantum).
   for (const ConnId id : open_conns_) {
@@ -607,31 +627,20 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
       if (!shard_caps) {
         ramping_flows_ += eval_cap(*c, i);
       }
-      // Allocator link list: uplink, downlink, then the interior links — the
-      // historical (src, n+dst, core) order generalized to routed paths.
-      flow_link_scratch_.clear();
-      flow_link_scratch_.push_back(c->node[i]);
-      flow_link_scratch_.push_back(static_cast<int32_t>(n) + c->node[1 - i]);
-      const PathCache& path = c->body->path[i];
-      for (const int32_t* it = PathInteriorBegin(*c, path); it != PathInteriorEnd(*c, path);
-           ++it) {
-        flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
-      }
-      alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(),
-                         c->body->dir[i].cap_cache);
+      const Direction& dir = c->body->dir[i];
+      alloc_.SetFlowCap(dir.flow, dir.cap_cache);
       cached_flows_.push_back(CachedFlow{c, i});
     }
   }
 
-  if (parallel_) {
-    alloc_.AllocateParallel(pool_.get());
-  } else {
-    alloc_.Allocate();
-  }
-  // Shared-bottleneck introspection: widest interior link of this epoch (links
-  // below 2n are access links). The CSR row widths are valid after allocation.
-  for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
-    max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
+  alloc_.Allocate(parallel_ ? pool_.get() : nullptr);
+  // Shared-bottleneck introspection: widest interior link of this epoch (the
+  // access links hold slots 0 .. 2n-1; live slots past them are interior).
+  for (size_t l = static_cast<size_t>(2 * n); l < alloc_.link_slots(); ++l) {
+    const int32_t link = static_cast<int32_t>(l);
+    if (alloc_.link_order(link) >= 0) {
+      max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(link));
+    }
   }
   // Ramping caps change next quantum, which changes the allocation; otherwise the
   // cached result stays exact until an activation/drain/close/capacity change.
@@ -639,9 +648,9 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
 }
 
 void Network::AdvanceTransmissions(double dt_sec) {
-  for (size_t fi = 0; fi < cached_flows_.size(); ++fi) {
-    Conn* c = cached_flows_[fi].conn;
-    const int dir_idx = cached_flows_[fi].dir_idx;
+  for (const CachedFlow& cf : cached_flows_) {
+    Conn* c = cf.conn;
+    const int dir_idx = cf.dir_idx;
     if (c->closed) {
       continue;
     }
@@ -649,7 +658,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
     if (dir.queue.empty()) {
       continue;
     }
-    dir.rate_bps = alloc_.rate(fi);
+    dir.rate_bps = alloc_.rate(dir.flow);
     dir.tcp.last_busy = now();
     double budget = dir.rate_bps / 8.0 * dt_sec;
     while (!dir.queue.empty() && budget >= dir.queue.front().remaining_bytes) {
@@ -669,6 +678,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
       BusyByte(*c) &= static_cast<uint8_t>(~(1 << dir_idx));
       --active_dirs_;
       alloc_dirty_ = true;
+      UntrackFlow(*c, dir_idx);
     }
   }
 }
@@ -677,8 +687,9 @@ void Network::AdvanceTransmissions(double dt_sec) {
 // rates each quantum. Kept as the A/B reference for the perf_core_scale
 // benchmark and the determinism tests.
 void Network::TickFullRecompute(double dt_sec) {
-  // Build the active flow set. Link ids: uplink(n) = n, downlink(n) = N + n,
-  // interior links assigned densely on demand.
+  // Build the active flow set. Link ids follow the canonical order the
+  // incremental table uses: uplink(i) = i, downlink(i) = n + i, then the
+  // interior links in ascending topology id, numbered densely.
   const int n = topology_->num_nodes();
   std::vector<PathFlowSpec> flows;
   std::vector<std::pair<ConnId, int>> flow_dirs;
@@ -687,7 +698,7 @@ void Network::TickFullRecompute(double dt_sec) {
     capacities[static_cast<size_t>(i)] = topology_->uplink(i).bandwidth_bps;
     capacities[static_cast<size_t>(n + i)] = topology_->downlink(i).bandwidth_bps;
   }
-  std::unordered_map<int32_t, int32_t> interior_ids;
+  std::vector<int32_t> interior_ids;  // topology ids the flows cross
   for (const ConnId id : open_conns_) {
     Conn* c = GetConn(id);
     if (!c->established) {
@@ -708,17 +719,26 @@ void Network::TickFullRecompute(double dt_sec) {
       flow.links.push_back(static_cast<int32_t>(n) + dst);
       for (const int32_t* pi = PathInteriorBegin(*c, path); pi != PathInteriorEnd(*c, path);
            ++pi) {
-        auto [it, inserted] = interior_ids.emplace(*pi, static_cast<int32_t>(capacities.size()));
-        if (inserted) {
-          capacities.push_back(topology_->interior_link(*pi).bandwidth_bps);
-        }
-        flow.links.push_back(it->second);
+        flow.links.push_back(*pi);  // renumbered below
+        interior_ids.push_back(*pi);
       }
       // The PathCache snapshot equals the live Rtt/PathLoss lookups the pre-PR
       // code performed here: delay and loss are static for a run's lifetime.
       flow.cap_bps = TcpRateCapBps(dir.tcp, now(), path.rtt, path.loss, config_.tcp);
       flows.push_back(std::move(flow));
       flow_dirs.emplace_back(id, i);
+    }
+  }
+
+  std::sort(interior_ids.begin(), interior_ids.end());
+  interior_ids.erase(std::unique(interior_ids.begin(), interior_ids.end()), interior_ids.end());
+  for (const int32_t id : interior_ids) {
+    capacities.push_back(topology_->interior_link(id).bandwidth_bps);
+  }
+  for (PathFlowSpec& flow : flows) {
+    for (size_t k = 2; k < flow.links.size(); ++k) {
+      const auto it = std::lower_bound(interior_ids.begin(), interior_ids.end(), flow.links[k]);
+      flow.links[k] = 2 * n + static_cast<int32_t>(it - interior_ids.begin());
     }
   }
 

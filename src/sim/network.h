@@ -17,10 +17,14 @@
 // downlink, and the interior links of the topology's s->d path — one private
 // core link on the legacy mesh, a shared multi-hop route on RoutedTopology.
 // Interior routes are snapshotted per direction at Connect() (propagation delay
-// and loss are static; only link bandwidth is dynamic), and interior link ids
-// are mapped to dense allocator ids per allocation epoch in first-use order —
-// on the mesh this reproduces the historical dense core-link-id scheme exactly,
-// so mesh results are bit-identical to the pre-routed implementation.
+// and loss are static; only link bandwidth is dynamic).
+//
+// The allocator keeps a persistent flow table (bandwidth_allocator.h): a busy
+// direction is added as a flow when it activates and removed when it drains or
+// its connection closes. Every link has a stable canonical order — uplink i is
+// i, downlink i is n + i, interior link k is 2n + k — that breaks max-min ties;
+// access links hold fixed allocator slots, interior links get a slot while a
+// flow crosses them.
 //
 // Hot-path architecture (PR 3). The tick is event-driven in its *work*, not its
 // schedule: a tick event still fires every quantum (keeping the event-sequence
@@ -28,10 +32,10 @@
 // fixed-quantum loop), but the expensive stages only run when something changed:
 //
 //   * compaction of closed connections runs only on quanta that saw a Close();
-//   * the flow set is rebuilt and re-water-filled only when dirty — a direction
-//     became busy or idle, a connection closed, a flow's TCP cap is still ramping,
-//     or a link capacity changed (detected by comparing the capacities the last
-//     allocation used against the topology);
+//   * the flow set is re-water-filled only when dirty — a direction became busy
+//     or idle, a connection closed, a flow's TCP cap is still ramping, or a link
+//     capacity changed (detected by comparing the allocator's capacities against
+//     the topology: every access link, and every interior link a flow crosses);
 //   * on clean quanta the cached rates are reused — by determinism they are
 //     exactly what a recompute would produce — and only transmission advancement
 //     runs;
@@ -65,8 +69,9 @@
 //     the global queue up to the barrier (establishment and conn-down
 //     notifications, joins, departures, dynamics), then executes the
 //     allocator tick: one global IncrementalMaxMin epoch whose TCP-cap
-//     evaluation is sharded across the workers and whose water-fill runs
-//     AllocateParallel (see bandwidth_allocator.h). Transmissions advance and
+//     evaluation is sharded across the workers and whose water-fill shards
+//     wide saturation rounds over the pool (see bandwidth_allocator.h).
+//     Transmissions advance and
 //     deliveries are scheduled onto the receiver partitions' queues exactly as
 //     the serial tick would.
 //   * The partition plan is validated against the conservative-sync lookahead:
@@ -341,6 +346,9 @@ class Network {
     // period, so the rebuild skips the transcendental-heavy recomputation.
     double cap_cache = 0.0;
     bool cap_steady = false;
+    // Allocator flow slot while the direction is busy (incremental mode), -1
+    // otherwise.
+    int32_t flow = -1;
   };
 
   // Per-direction path parameters snapshotted at Connect(). Propagation delay,
@@ -350,10 +358,9 @@ class Network {
   // or per allocation epoch.
   //
   // The interior route lives as an (offset, length) slice of path_pool_ rather
-  // than a per-direction vector: the allocator rebuild walks every busy
-  // direction's route each epoch, and one contiguous pool turns those walks
-  // into sequential reads instead of a heap-pointer chase per direction (and
-  // drops two vector allocations per Connect). The pool only grows, so slices
+  // than a per-direction vector: one contiguous pool drops two vector
+  // allocations per Connect, and the route walks when a flow enters or leaves
+  // the allocator's table read it sequentially. The pool only grows, so slices
   // stay valid for the connection's lifetime.
   struct PathCache {
     SimTime path_delay = 0;
@@ -506,8 +513,14 @@ class Network {
   void CompactOpenConns();
   // A reset body from the free list, or a new one when the list is empty.
   ConnBody* AcquireBody();
-  bool CapacitiesUnchanged() const;
-  void RebuildAndAllocate(bool base_caps_unchanged);
+  // Copies every allocator link's topology capacity into the allocator;
+  // returns true if any changed.
+  bool SyncCapacities();
+  // Registers / removes direction `i` of `c` as an allocator flow (its
+  // interior links take or release their slots with it).
+  void TrackFlow(Conn& c, int i);
+  void UntrackFlow(Conn& c, int i);
+  void RebuildAndAllocate();
   void AdvanceTransmissions(double dt_sec);
 
   // --- parallel engine (see the header comment) ---
@@ -534,7 +547,6 @@ class Network {
   // entry points pass now(), the merge passes the staged timestamps.
   bool SendAt(ConnId conn, NodeId from, std::unique_ptr<Message> msg, SimTime at);
   void CloseAt(ConnId conn, SimTime at);
-  int32_t InteriorLinkIdForEpoch(int32_t interior_id);
   void ActivateDirection(Conn& c, int dir_idx);
   void DeliverMessage(ConnId conn_id, int receiver_idx, std::unique_ptr<Message> msg);
   void EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::unique_ptr<Message> msg);
@@ -567,8 +579,9 @@ class Network {
   IncrementalMaxMin alloc_;
   // Live/peak bytes of protocol node-state arenas (see arena_counter()).
   ArenaCounter arena_counter_;
-  // (conn, direction) per allocated flow, in allocation order; parallel to
-  // alloc_.rates(). Valid until the next rebuild. Conn headers never move, so
+  // (conn, direction) per busy flow, in open_conns_ order: the order
+  // AdvanceTransmissions serves them in. Valid until the next rebuild. Conn
+  // headers never move, so
   // raw pointers stay valid. A body is recycled only for a closed connection,
   // and every close marks the allocation dirty, so the list is rebuilt before
   // AdvanceTransmissions reads a flow whose body may have gone back.
@@ -577,22 +590,10 @@ class Network {
     int dir_idx;
   };
   std::vector<CachedFlow> cached_flows_;
-  // Capacities the last allocation was computed from, for change detection:
-  // all access links (uplinks then downlinks, legacy id order) ...
-  std::vector<double> base_caps_;
-  // ... plus every interior link a flow used, as (topology id, capacity).
-  struct InteriorCap {
-    int32_t id;
-    double cap;
-  };
-  std::vector<InteriorCap> interior_caps_;
-  // Per-topology-interior-link dense allocator id for the current allocation
-  // epoch (stamped). On the mesh the topology id is src*N+dst, reproducing the
-  // historical per-ordered-pair core-id table.
-  std::vector<uint32_t> interior_epoch_;
+  // Allocator slot of each topology interior link while a flow crosses it,
+  // -1 otherwise.
   std::vector<int32_t> interior_link_id_;
-  uint32_t epoch_counter_ = 0;
-  // Per-flow allocator link-id assembly buffer (uplink, downlink, interior...).
+  // Per-flow allocator link-slot assembly buffer (uplink, downlink, interior...).
   std::vector<int32_t> flow_link_scratch_;
 
   size_t active_dirs_ = 0;    // established directions with queued bytes

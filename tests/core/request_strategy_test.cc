@@ -693,6 +693,55 @@ TEST(CandidateSetOracle, RarestRandomMatchesTwoStoreSet) {
   RunOracle(RequestStrategy::kRarestRandom);
 }
 
+// The sampled rarest pick alone, on sets just above kRaritySample (128 draws
+// over 129-160 entries re-draw many indices) and on larger ones, with ids
+// repeated in the set and rarities from a narrow band so ties are common.
+// The set-based sample dedup must pick what the reference's linear scan
+// picks and consume the identical RNG draws.
+TEST(CandidateSetOracle, SampledRarestDedupMatchesLinearScan) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng script(seed);
+    const bool small = seed % 2 == 0;
+    const int64_t size = small ? script.UniformInt(129, 160) : script.UniformInt(161, 2000);
+    const uint32_t id_space = static_cast<uint32_t>(script.UniformInt(8, 4 * size));
+    std::vector<int> rarity(id_space);
+    for (int& r : rarity) {
+      r = static_cast<int>(script.UniformInt(0, 2));
+    }
+    std::vector<char> stale(id_space, 0);
+    for (char& s : stale) {
+      s = script.Bernoulli(0.2) ? 1 : 0;
+    }
+    const CandidateSet::ValidFn valid = [&](uint32_t id) { return stale[id] == 0; };
+    const CandidateSet::RarityFn rarity_of = [&](uint32_t id) { return rarity[id]; };
+    TwoStoreCandidateSet ref;
+    CandidateSet one;
+    for (int64_t k = 0; k < size; ++k) {
+      const uint32_t id = static_cast<uint32_t>(script.UniformInt(0, id_space - 1));
+      ref.Add(id);
+      one.Add(id);
+    }
+    Rng ref_rng(seed ^ 0xabcdu);
+    Rng one_rng(seed ^ 0xabcdu);
+    for (const RequestStrategy strategy :
+         {RequestStrategy::kRarestRandom, RequestStrategy::kRarest}) {
+      // Separate sets per strategy: one set serves one strategy.
+      TwoStoreCandidateSet r = ref;
+      CandidateSet o = one;
+      for (int pick = 0; pick < 40; ++pick) {
+        const auto want = r.Pick(strategy, valid, rarity_of, ref_rng);
+        const auto got = o.Pick(strategy, valid, rarity_of, one_rng);
+        ASSERT_EQ(want, got) << "pick " << pick;
+        ASSERT_EQ(r.RawSize(), o.RawSize()) << "pick " << pick;
+      }
+    }
+    for (int k = 0; k < 4; ++k) {
+      ASSERT_EQ(ref_rng.Next(), one_rng.Next()) << "Rng state diverged";
+    }
+  }
+}
+
 TEST(CandidateSetDeathTest, MixingStrategiesOnOneSetIsACheckedError) {
   CandidateSet cs;
   Rng rng(3);

@@ -20,7 +20,7 @@ inline const std::vector<OptionRangeCases> kOptionRangeCases = {
     {"nodes", {"2", "1000000"}, {"1", "1000001", "2.5"}},
     {"file-mb", {"0.001", "1e6"}, {"0", "-0.001"}},
     {"seed", {"0", "18446744073709551615"}, {"-1", "1.5"}},
-    {"block-bytes", {"512", "1073741824"}, {"511", "512.5"}},
+    {"block-bytes", {"512", "1073741824"}, {"511", "512.5", "1073741825", "1e19"}},
     {"deadline-sec", {"0.001"}, {"0"}},
     {"join-fraction", {"0", "1"}, {"-0.001", "1.001"}},
     {"loss", {"0", "1"}, {"-0.001", "1.001"}},

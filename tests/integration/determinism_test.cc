@@ -397,9 +397,10 @@ std::unique_ptr<Topology> ParallelScriptTopology(int num_nodes = 16) {
   params.routers_per_transit = 2;
   params.stub_domains_per_transit_router = 1;
   params.routers_per_stub = 2;
-  // Exact power-of-two capacities: the regime where AllocateParallel is
-  // documented to agree bitwise with Allocate() (see bandwidth_allocator.h),
-  // so 1-thread and N-thread runs can be compared flow for flow.
+  // Exact power-of-two capacities: the regime where a sharded wide round's
+  // per-worker partial sums agree bitwise with one-at-a-time subtraction (see
+  // bandwidth_allocator.h), so 1-thread and N-thread runs can be compared flow
+  // for flow.
   params.transit_bps = 134217728.0;      // 2^27
   params.transit_stub_bps = 33554432.0;  // 2^25
   params.stub_bps = 67108864.0;          // 2^26

@@ -6,12 +6,15 @@
 //  2. max-min justice  — every flow is cap-limited or crosses a saturated link
 //                        on which it has a maximal rate;
 //  3. monotonicity     — removing a flow never decreases a survivor's rate;
-//  4. bit-exactness    — IncrementalMaxMin (with its scratch reused across many
-//                        epochs, including tie-heavy uniform instances) produces
-//                        rates bit-identical to a fresh AllocateMaxMin;
-//  5. sharded rounds   — AllocateParallel on a real worker pool, over rows wide
+//  4. bit-exactness    — IncrementalMaxMin's persistent table, driven through
+//                        flow adds and removes, cap changes and capacity
+//                        changes (tie-heavy instances included), produces
+//                        rates bit-identical to a fresh AllocateMaxMin after
+//                        every epoch;
+//  5. sharded rounds   — Allocate(pool) on a real worker pool, over rows wide
 //                        enough to shard, repeats bitwise, stays feasible, and
-//                        matches Allocate() bitwise at power-of-two capacities.
+//                        matches Allocate() bitwise at power-of-two capacities;
+//                        without a wide row it matches Allocate() everywhere.
 //
 // Run standalone with `ctest -L invariants`.
 
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -74,17 +78,37 @@ std::vector<double> ReferenceRates(const Instance& inst) {
   return rates;
 }
 
-std::vector<double> IncrementalRates(IncrementalMaxMin& alloc, const Instance& inst) {
-  alloc.BeginEpoch();
-  for (const double c : inst.capacity) {
-    alloc.AddLink(c);
+// An Instance mirrored into a persistent table: link i has order i, flow i of
+// the instance lives in slot flows[i].
+struct Table {
+  IncrementalMaxMin alloc;
+  std::vector<int32_t> links;  // per instance link: slot
+  std::vector<int32_t> flows;  // per instance flow: slot
+
+  explicit Table(const Instance& inst) {
+    for (size_t l = 0; l < inst.capacity.size(); ++l) {
+      links.push_back(alloc.AddLink(static_cast<int64_t>(l), inst.capacity[l]));
+    }
+    for (const FlowSpec& f : inst.flows) {
+      AddFlow(f);
+    }
   }
-  for (const FlowSpec& f : inst.flows) {
-    alloc.AddFlow(f.links[0], f.links[1], f.links[2], f.cap_bps);
+  void AddFlow(const FlowSpec& f) {
+    int32_t slots[3];
+    for (int k = 0; k < 3; ++k) {
+      slots[k] = f.links[k] < 0 ? -1 : links[static_cast<size_t>(f.links[k])];
+    }
+    flows.push_back(alloc.AddFlow(slots, 3, f.cap_bps));
   }
-  alloc.Allocate();
-  return alloc.rates();
-}
+  std::vector<double> Rates() {
+    alloc.Allocate();
+    std::vector<double> rates;
+    for (const int32_t f : flows) {
+      rates.push_back(alloc.rate(f));
+    }
+    return rates;
+  }
+};
 
 void CheckFeasibilityAndJustice(const Instance& inst, const std::vector<double>& rates) {
   const size_t num_links = inst.capacity.size();
@@ -143,14 +167,13 @@ TEST_P(AllocatorInvariants, RandomizedEpochs) {
   Rng rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ULL + 1);
   const bool uniform = seed % 3 == 0;
 
-  // One allocator across all epochs of the case: scratch reuse is part of what
-  // is under test (stale state from epoch k must not leak into epoch k+1).
-  IncrementalMaxMin alloc;
-
+  // One table across all epochs of the case: its persistent state is part of
+  // what is under test (stale state from epoch k must not leak into k+1).
   Instance inst = MakeInstance(rng, uniform);
+  Table table(inst);
   for (int epoch = 0; epoch < 4; ++epoch) {
     const std::vector<double> reference = ReferenceRates(inst);
-    const std::vector<double> incremental = IncrementalRates(alloc, inst);
+    const std::vector<double> incremental = table.Rates();
     ASSERT_EQ(reference.size(), incremental.size());
     for (size_t i = 0; i < reference.size(); ++i) {
       // Bit-exact, not approximate: the network reuses cached rates across
@@ -164,9 +187,11 @@ TEST_P(AllocatorInvariants, RandomizedEpochs) {
     switch (rng.UniformInt(0, 2)) {
       case 0:
         if (inst.flows.size() > 1) {
-          inst.flows.erase(inst.flows.begin() +
-                           static_cast<long>(rng.UniformInt(0, static_cast<int64_t>(
-                                                                   inst.flows.size() - 1))));
+          const long k = static_cast<long>(
+              rng.UniformInt(0, static_cast<int64_t>(inst.flows.size() - 1)));
+          inst.flows.erase(inst.flows.begin() + k);
+          table.alloc.RemoveFlow(table.flows[static_cast<size_t>(k)]);
+          table.flows.erase(table.flows.begin() + k);
         }
         break;
       case 1: {
@@ -175,12 +200,14 @@ TEST_P(AllocatorInvariants, RandomizedEpochs) {
             static_cast<int32_t>(rng.UniformInt(0, static_cast<int64_t>(inst.capacity.size()) - 1));
         f.cap_bps = rng.Bernoulli(0.5) ? rng.UniformDouble(0.1e6, 5e6) : kUnlimited;
         inst.flows.push_back(f);
+        table.AddFlow(f);
         break;
       }
       default: {
         const size_t l =
             static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(inst.capacity.size()) - 1));
         inst.capacity[l] *= rng.Bernoulli(0.5) ? 0.5 : 2.0;
+        table.alloc.SetCapacity(table.links[l], inst.capacity[l]);
         break;
       }
     }
@@ -231,7 +258,152 @@ TEST_P(AllocatorInvariants, RemovingAFlowNeverHurtsSurvivorsLexicographically) {
 
 INSTANTIATE_TEST_SUITE_P(RandomizedInstances, AllocatorInvariants, ::testing::Range(0, 100));
 
-// --- sharded water-fill (the partitioned engine's AllocateParallel) ---
+// --- the persistent table against the reference, change by change ---
+
+// Random change scripts over a small link set, so links move between zero,
+// one and several flows and the single-flow order is exercised. Links are
+// registered in a shuffled slot order (slot != order) and some are removed
+// and re-added while idle; the reference sees the live flows, in a shuffled
+// order, over a capacity vector indexed by link order. After every epoch the
+// rates must match bitwise.
+struct ScriptFlow {
+  std::vector<int32_t> links;  // link orders; -1 entries are unused slots
+  double cap;
+  int32_t slot;
+};
+
+// Uniform index in [0, n).
+size_t Draw(Rng& rng, size_t n) {
+  return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+}
+
+template <typename T>
+void Shuffle(std::vector<T>& v, Rng& rng) {
+  for (size_t k = v.size(); k > 1; --k) {
+    std::swap(v[k - 1], v[Draw(rng, k)]);
+  }
+}
+
+double DrawCapacity(Rng& rng, int regime) {
+  switch (regime) {
+    case 0:  // tie-heavy: a handful of values, equal fair shares everywhere
+      return 1e6 * static_cast<double>(rng.UniformInt(1, 4));
+    case 1:  // non-power-of-two, inexact shares
+      return rng.UniformDouble(0.3e6, 9e6);
+    default:  // mixed, with zero-capacity links
+      return rng.Bernoulli(0.1) ? 0.0 : 3e6 / static_cast<double>(rng.UniformInt(1, 7));
+  }
+}
+
+double DrawCap(Rng& rng, int regime) {
+  const int64_t kind = rng.UniformInt(0, 9);
+  if (kind < 4) {
+    return kUnlimited;
+  }
+  if (kind < 5) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return regime == 0 ? 0.5e6 * static_cast<double>(rng.UniformInt(1, 4))
+                     : rng.UniformDouble(0.1e6, 6e6);
+}
+
+class PersistentTable : public ::testing::TestWithParam<int> {};
+
+TEST_P(PersistentTable, MatchesReferenceAfterEveryChange) {
+  const int seed = GetParam();
+  Rng rng(static_cast<uint64_t>(seed) * 0x2545f4914f6cdd1dULL + 3);
+  const int regime = seed % 3;
+  const int num_links = static_cast<int>(rng.UniformInt(2, 14));
+
+  std::vector<double> capacity(static_cast<size_t>(num_links));
+  for (double& c : capacity) {
+    c = DrawCapacity(rng, regime);
+  }
+  // Shuffled registration: slot k holds some other order.
+  std::vector<int32_t> orders(static_cast<size_t>(num_links));
+  for (int32_t l = 0; l < num_links; ++l) {
+    orders[static_cast<size_t>(l)] = l;
+  }
+  Shuffle(orders, rng);
+  IncrementalMaxMin alloc;
+  std::vector<int32_t> slot_of(static_cast<size_t>(num_links), -1);
+  for (const int32_t o : orders) {
+    slot_of[static_cast<size_t>(o)] = alloc.AddLink(o, capacity[static_cast<size_t>(o)]);
+  }
+
+  std::vector<ScriptFlow> flows;
+  auto add_flow = [&] {
+    ScriptFlow f;
+    const int64_t len = rng.UniformInt(1, 4);
+    for (int64_t k = 0; k < len; ++k) {
+      // Mostly distinct links per flow; an occasional -1 slot.
+      f.links.push_back(rng.Bernoulli(0.1) ? -1 : static_cast<int32_t>(Draw(rng, num_links)));
+    }
+    f.cap = DrawCap(rng, regime);
+    std::vector<int32_t> slots;
+    for (const int32_t l : f.links) {
+      slots.push_back(l < 0 ? -1 : slot_of[static_cast<size_t>(l)]);
+    }
+    f.slot = alloc.AddFlow(slots.data(), slots.size(), f.cap);
+    flows.push_back(std::move(f));
+  };
+  const int64_t initial = rng.UniformInt(0, 2 * num_links);
+  for (int64_t k = 0; k < initial; ++k) {
+    add_flow();
+  }
+
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    const int64_t changes = rng.UniformInt(0, 4);
+    for (int64_t c = 0; c < changes; ++c) {
+      const int64_t op = rng.UniformInt(0, 9);
+      if (op < 3) {
+        add_flow();
+      } else if (op < 6 && !flows.empty()) {
+        const size_t k = Draw(rng, flows.size());
+        alloc.RemoveFlow(flows[k].slot);
+        flows.erase(flows.begin() + static_cast<long>(k));
+      } else if (op < 8 && !flows.empty()) {
+        ScriptFlow& f = flows[Draw(rng, flows.size())];
+        f.cap = DrawCap(rng, regime);
+        alloc.SetFlowCap(f.slot, f.cap);
+      } else if (op < 9) {
+        const size_t l = Draw(rng, num_links);
+        capacity[l] = DrawCapacity(rng, regime);
+        alloc.SetCapacity(slot_of[l], capacity[l]);
+      } else {
+        // Re-register an idle link under a fresh slot, as the network does
+        // for interior links between uses.
+        const size_t l = Draw(rng, num_links);
+        if (alloc.flows_on_link(slot_of[l]) == 0) {
+          alloc.RemoveLink(slot_of[l]);
+          slot_of[l] = alloc.AddLink(static_cast<int64_t>(l), capacity[l]);
+        }
+      }
+    }
+    alloc.Allocate();
+
+    std::vector<size_t> perm(flows.size());
+    for (size_t k = 0; k < perm.size(); ++k) {
+      perm[k] = k;
+    }
+    Shuffle(perm, rng);
+    std::vector<PathFlowSpec> ref(flows.size());
+    for (size_t k = 0; k < perm.size(); ++k) {
+      ref[k].links = flows[perm[k]].links;
+      ref[k].cap_bps = flows[perm[k]].cap;
+    }
+    AllocateMaxMinPaths(ref, capacity);
+    ASSERT_EQ(alloc.num_flows(), flows.size());
+    for (size_t k = 0; k < perm.size(); ++k) {
+      ASSERT_EQ(alloc.rate(flows[perm[k]].slot), ref[k].rate_bps)
+          << "epoch " << epoch << " flow " << perm[k];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ChangeScripts, PersistentTable, ::testing::Range(0, 150));
+
+// --- sharded water-fill (the partitioned engine's wide rounds) ---
 
 // Power-of-two capacities and flow counts chosen so every share and every
 // freeze subtraction is exact, with one strict bottleneck per round:
@@ -270,14 +442,22 @@ WideEpoch MakeWideEpoch() {
   return e;
 }
 
+// Link k gets order k and slot k; flow f gets slot f.
 void LoadEpoch(const WideEpoch& e, IncrementalMaxMin* alloc) {
-  alloc->BeginEpoch();
-  for (const double c : e.capacity) {
-    alloc->AddLink(c);
+  for (size_t l = 0; l < e.capacity.size(); ++l) {
+    alloc->AddLink(static_cast<int64_t>(l), e.capacity[l]);
   }
   for (size_t f = 0; f < e.links.size(); ++f) {
-    alloc->AddFlowPath(e.links[f].data(), e.links[f].size(), e.cap[f]);
+    alloc->AddFlow(e.links[f].data(), e.links[f].size(), e.cap[f]);
   }
+}
+
+std::vector<double> Rates(const IncrementalMaxMin& alloc) {
+  std::vector<double> rates;
+  for (size_t f = 0; f < alloc.num_flows(); ++f) {
+    rates.push_back(alloc.rate(static_cast<int32_t>(f)));
+  }
+  return rates;
 }
 
 TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
@@ -285,7 +465,7 @@ TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
   IncrementalMaxMin serial;
   LoadEpoch(epoch, &serial);
   serial.Allocate();
-  const std::vector<double> expected = serial.rates();
+  const std::vector<double> expected = Rates(serial);
   // The instance does what its comment claims.
   EXPECT_EQ(expected[0], 524288.0);
   EXPECT_EQ(expected[1024], 1048576.0);
@@ -296,15 +476,15 @@ TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
     WorkerPool pool(threads, nullptr);
     IncrementalMaxMin sharded;
     LoadEpoch(epoch, &sharded);
-    sharded.AllocateParallel(&pool);
-    const std::vector<double> first = sharded.rates();
-    // A second epoch over the same inputs reuses every piece of shard scratch.
-    LoadEpoch(epoch, &sharded);
-    sharded.AllocateParallel(&pool);
+    sharded.Allocate(&pool);
+    const std::vector<double> first = Rates(sharded);
+    // A second epoch over the same table reuses every piece of shard scratch.
+    sharded.Allocate(&pool);
+    const std::vector<double> second = Rates(sharded);
     ASSERT_EQ(first.size(), expected.size());
-    ASSERT_EQ(sharded.rates().size(), expected.size());
+    ASSERT_EQ(second.size(), expected.size());
     for (size_t f = 0; f < expected.size(); ++f) {
-      ASSERT_EQ(first[f], sharded.rates()[f]) << "flow " << f << " repeat";
+      ASSERT_EQ(first[f], second[f]) << "flow " << f << " repeat";
       ASSERT_EQ(first[f], expected[f]) << "flow " << f << " vs Allocate()";
     }
     std::vector<double> used(epoch.capacity.size(), 0.0);
@@ -316,6 +496,27 @@ TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
     }
     for (size_t l = 0; l < used.size(); ++l) {
       EXPECT_LE(used[l], epoch.capacity[l]) << "link " << l << " oversubscribed";
+    }
+  }
+}
+
+// A pool without a wide row leaves every round on the calling thread, so
+// Allocate(pool) must equal Allocate() bitwise on any capacities — here
+// non-power-of-two ones, where per-round batching of heap updates used to
+// resolve share ties differently.
+TEST(AllocatorSharded, PoolWithoutWideRowsMatchesSerialBitwise) {
+  WorkerPool pool(2, nullptr);
+  Rng rng(4242);
+  for (int instance = 0; instance < 300; ++instance) {
+    const Instance inst = MakeInstance(rng, instance % 3 == 0);
+    Table serial(inst);
+    Table pooled(inst);
+    const std::vector<double> want = serial.Rates();
+    pooled.alloc.Allocate(&pool);
+    const std::vector<double> reference = ReferenceRates(inst);
+    for (size_t f = 0; f < want.size(); ++f) {
+      ASSERT_EQ(pooled.alloc.rate(pooled.flows[f]), want[f]) << "instance " << instance;
+      ASSERT_EQ(reference[f], want[f]) << "instance " << instance;
     }
   }
 }

@@ -405,32 +405,46 @@ TEST(AllocatorPaths, ThreeLinkPathsMatchLegacyEntryPointBitwise) {
 
 TEST(AllocatorPaths, IncrementalPathEngineMatchesReferenceBitwise) {
   Rng rng(911);
+  // One table across all instances: each instance retires the previous one's
+  // flows and links, so slots are reused.
   IncrementalMaxMin inc;
+  std::vector<int32_t> live_links;
+  std::vector<int32_t> live_flows;
   for (int instance = 0; instance < 40; ++instance) {
+    for (const int32_t f : live_flows) {
+      inc.RemoveFlow(f);
+    }
+    for (const int32_t l : live_links) {
+      inc.RemoveLink(l);
+    }
+    live_flows.clear();
+    live_links.clear();
     const int num_links = static_cast<int>(rng.UniformInt(1, 24));
     const int num_flows = static_cast<int>(rng.UniformInt(1, 80));
     std::vector<double> capacity(static_cast<size_t>(num_links));
-    inc.BeginEpoch(0);
-    for (auto& c : capacity) {
+    for (size_t l = 0; l < capacity.size(); ++l) {
       // Tie-heavy: quantized capacities produce equal fair shares.
-      c = 1e6 * rng.UniformInt(1, 8);
-      inc.AddLink(c);
+      capacity[l] = 1e6 * rng.UniformInt(1, 8);
+      live_links.push_back(inc.AddLink(static_cast<int64_t>(l), capacity[l]));
     }
     std::vector<PathFlowSpec> flows;
     for (int i = 0; i < num_flows; ++i) {
       PathFlowSpec f;
       const int nlinks = static_cast<int>(rng.UniformInt(0, 6));
+      std::vector<int32_t> slots;
       for (int l = 0; l < nlinks; ++l) {
         f.links.push_back(static_cast<int32_t>(rng.UniformInt(0, num_links - 1)));
+        slots.push_back(live_links[static_cast<size_t>(f.links.back())]);
       }
       f.cap_bps = rng.Bernoulli(0.25) ? 1e6 * rng.UniformInt(1, 5) : kUnlimited;
-      inc.AddFlowPath(f.links.data(), f.links.size(), f.cap_bps);
+      live_flows.push_back(inc.AddFlow(slots.data(), slots.size(), f.cap_bps));
       flows.push_back(std::move(f));
     }
     inc.Allocate();
     AllocateMaxMinPaths(flows, capacity);
     for (int i = 0; i < num_flows; ++i) {
-      EXPECT_EQ(inc.rate(static_cast<size_t>(i)), flows[static_cast<size_t>(i)].rate_bps)
+      const size_t k = static_cast<size_t>(i);
+      EXPECT_EQ(inc.rate(live_flows[k]), flows[k].rate_bps)
           << "instance " << instance << " flow " << i;
     }
   }
