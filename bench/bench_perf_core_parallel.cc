@@ -12,9 +12,9 @@
 // lookahead (min up-delay + cross-delay + min down-delay) always covers a full
 // window regardless of --nodes; see docs/ARCHITECTURE.md "Partitioned parallel
 // engine". Serial and parallel legs are compared through the usual completion
-// metrics with the baseline's relative band, not bit-identity: the sharded
-// water-fill is deterministic but may resolve exact FP share ties differently
-// from the serial allocator (src/sim/bandwidth_allocator.h documents this).
+// metrics with the baseline's relative band. The water-fill is not a source of
+// difference between them: its sharded rounds equal the serial fill bitwise
+// (src/sim/bandwidth_allocator.h).
 //
 // `parallel_speedup_ok` is the CI floor for the tentpole acceptance: at 4+
 // threads the parallel engine must be >= 1.5x the serial wall clock; at 2-3

@@ -634,15 +634,26 @@ void IncrementalMaxMin::Allocate(WorkerPool* pool) {
       }
       continue;
     }
-    // The workers split the row by position.
+    // Wide round: the workers freeze contiguous ranges of the row and count,
+    // per link, the flows they froze on it. Every one of those flows freezes
+    // at the same rate, so applying each link's count as that many clamped
+    // subtractions gives the bits the serial loop gives, whatever the row
+    // order and however the row is split.
+    // A flow that lists the bottleneck twice enters the row once.
     row_scratch_.clear();
     for (uint32_t e = row_head_[bottleneck]; e != kNoEntry; e = link_pool_[e].next) {
-      row_scratch_.push_back(link_pool_[e].flow);
+      const int32_t f = link_pool_[e].flow;
+      const uint32_t first = flow_off_[static_cast<size_t>(f)];
+      bool repeat = false;
+      for (uint32_t k = first; k < e && !repeat; ++k) {
+        repeat = link_pool_[k].link == static_cast<int32_t>(bottleneck);
+      }
+      if (!repeat && frozen_[static_cast<size_t>(f)] != epoch) {
+        row_scratch_.push_back(f);
+      }
     }
     const std::vector<int32_t>& row = row_scratch_;
-
-    // Wide round: contiguous row ranges per worker, deltas applied in worker
-    // order.
+    const double rate = std::max(min_share, 0.0);
     const int nw = pool->num_threads();
     if (shards_.size() < static_cast<size_t>(nw)) {
       shards_.resize(static_cast<size_t>(nw));
@@ -654,7 +665,6 @@ void IncrementalMaxMin::Allocate(WorkerPool* pool) {
       ShardScratch& s = shards_[static_cast<size_t>(w)];
       if (s.stamp.size() < num_links) {
         s.stamp.resize(num_links, 0);
-        s.delta.resize(num_links, 0.0);
         s.dcount.resize(num_links, 0);
       }
       s.touched.clear();
@@ -663,12 +673,7 @@ void IncrementalMaxMin::Allocate(WorkerPool* pool) {
       const size_t hi = static_cast<size_t>(width * (static_cast<uint64_t>(w) + 1) / nw);
       for (size_t k = lo; k < hi; ++k) {
         const size_t fi = static_cast<size_t>(row[k]);
-        // Flows frozen this round live in other workers' ranges and are
-        // never read here, so this flag is stable for the whole round.
-        if (frozen_[fi] == epoch) {
-          continue;
-        }
-        rate_[fi] = std::max(min_share, 0.0);
+        rate_[fi] = rate;
         frozen_[fi] = epoch;
         ++s.frozen;
         const FlowLink* links = link_pool_.data() + flow_off_[fi];
@@ -680,11 +685,9 @@ void IncrementalMaxMin::Allocate(WorkerPool* pool) {
           }
           if (s.stamp[lj] != round) {
             s.stamp[lj] = round;
-            s.delta[lj] = 0.0;
             s.dcount[lj] = 0;
             s.touched.push_back(fl.link);
           }
-          s.delta[lj] += rate_[fi];
           ++s.dcount[lj];
         }
       }
@@ -694,7 +697,9 @@ void IncrementalMaxMin::Allocate(WorkerPool* pool) {
       left -= s.frozen;
       for (const int32_t l : s.touched) {
         const size_t lj = static_cast<size_t>(l);
-        remaining_[lj] = std::max(0.0, remaining_[lj] - s.delta[lj]);
+        for (int32_t k = 0; k < s.dcount[lj]; ++k) {
+          remaining_[lj] = std::max(0.0, remaining_[lj] - rate);
+        }
         unfrozen_[lj] -= s.dcount[lj];
         UpdateHeapLink(l);
       }

@@ -35,7 +35,7 @@
 // step freeze at one value, and subtracting equal values commutes bitwise.
 // IncrementalMaxMin::Allocate() therefore produces rates bit-identical to the
 // reference over the same links and flows, whatever sequence of changes built
-// its table, and Allocate(pool) without a wide round equals Allocate(nullptr).
+// its table, with or without a worker pool.
 //
 // How the engine does less work for the same result:
 //  * an indexed binary heap holds only the links that carry two or more flows
@@ -52,11 +52,13 @@
 //
 // Parallel rounds: with a WorkerPool of two or more threads, a saturation round
 // whose bottleneck row holds kShardMinRow or more flows is split into
-// contiguous per-worker row ranges; each worker writes its flows' rates
-// (disjoint) and accumulates per-link demand deltas, which the caller applies
-// in worker-index order. Those per-worker partial sums are the only arithmetic
-// that differs from Allocate(nullptr); results depend on the worker count and
-// on the row order the table's history produced, never on thread scheduling.
+// contiguous per-worker ranges of its unfrozen flows. Each worker writes its
+// flows' rates (disjoint) and counts, per link, the flows it froze there; the
+// caller applies each count as that many subtractions of the round's one
+// rate. Every flow of the round freezes at that rate, so the per-link results
+// are the serial loop's bits whatever the row order or the split:
+// Allocate(pool) equals Allocate(nullptr) bitwise, and both are the pure
+// function above.
 //
 // Thread-safety: the free functions are safe to call concurrently on disjoint
 // arguments (they touch only their parameters); an IncrementalMaxMin instance
@@ -241,8 +243,7 @@ class IncrementalMaxMin {
   // earlier round compares unequal and the arrays need no clearing.
   uint64_t round_id_ = 0;
   struct ShardScratch {
-    std::vector<uint64_t> stamp;   // per link: round of last accumulation
-    std::vector<double> delta;     // per link: demand frozen by this worker
+    std::vector<uint64_t> stamp;   // per link: round of last count
     std::vector<int32_t> dcount;   // per link: flows frozen by this worker
     std::vector<int32_t> touched;  // links this worker accumulated into
     size_t frozen = 0;

@@ -321,16 +321,17 @@ void Network::ActivateDirection(Conn& c, int dir_idx) {
 // path order. Its cap is set by the next rebuild (a new flow's cap is never
 // steady yet).
 void Network::TrackFlow(Conn& c, int i) {
-  const int n = topology_->num_nodes();
+  const Topology& topo = *topology_;
+  const int n = topo.num_nodes();
   if (alloc_.link_slots() == 0) {
     // First flow of the run: the access links take slots 0 .. 2n-1, equal to
     // their canonical order (uplink i is i, downlink i is n + i), before any
     // interior link takes a slot.
     for (NodeId k = 0; k < n; ++k) {
-      alloc_.AddLink(k, topology_->uplink(k).bandwidth_bps);
+      RegisterLink(k, topo.uplink(k));
     }
     for (NodeId k = 0; k < n; ++k) {
-      alloc_.AddLink(n + k, topology_->downlink(k).bandwidth_bps);
+      RegisterLink(n + k, topo.downlink(k));
     }
   }
   flow_link_scratch_.clear();
@@ -344,13 +345,21 @@ void Network::TrackFlow(Conn& c, int i) {
     BULLET_CHECK(key < interior_link_id_.size() &&
                  "topology gained interior links after the network was built");
     if (interior_link_id_[key] < 0) {
-      interior_link_id_[key] =
-          alloc_.AddLink(int64_t{2} * n + *it, topology_->interior_link(*it).bandwidth_bps);
+      interior_link_id_[key] = RegisterLink(int64_t{2} * n + *it, topo.interior_link(*it));
     }
     flow_link_scratch_.push_back(interior_link_id_[key]);
   }
   Direction& dir = c.body->dir[i];
   dir.flow = alloc_.AddFlow(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache);
+}
+
+int32_t Network::RegisterLink(int64_t order, const LinkParams& params) {
+  const int32_t slot = alloc_.AddLink(order, params.bandwidth_bps);
+  if (slot_params_.size() <= static_cast<size_t>(slot)) {
+    slot_params_.resize(static_cast<size_t>(slot) + 1, nullptr);
+  }
+  slot_params_[static_cast<size_t>(slot)] = &params;
+  return slot;
 }
 
 void Network::UntrackFlow(Conn& c, int i) {
@@ -365,6 +374,7 @@ void Network::UntrackFlow(Conn& c, int i) {
     int32_t& slot = interior_link_id_[static_cast<size_t>(*it)];
     if (slot >= 0 && alloc_.flows_on_link(slot) == 0) {
       alloc_.RemoveLink(slot);
+      slot_params_[static_cast<size_t>(slot)] = nullptr;
       slot = -1;
     }
   }
@@ -526,20 +536,19 @@ void Network::AllocatorTick() {
 // Covers all access links plus the interior links that busy flows cross;
 // links without flows cannot influence the allocation.
 bool Network::SyncCapacities() {
-  const int64_t n = topology_->num_nodes();
+  // Every capacity change goes through mutable topology access, which
+  // advances the version; the network reads links through const access only.
+  const uint64_t version = topology_->link_version();
+  if (version == synced_link_version_) {
+    return false;
+  }
+  synced_link_version_ = version;
   bool changed = false;
-  for (size_t l = 0; l < alloc_.link_slots(); ++l) {
+  for (size_t l = 0; l < slot_params_.size(); ++l) {
+    const LinkParams* params = slot_params_[l];
     const int32_t link = static_cast<int32_t>(l);
-    const int64_t order = alloc_.link_order(link);
-    if (order < 0) {
-      continue;
-    }
-    const LinkParams& params =
-        order < n       ? topology_->uplink(static_cast<NodeId>(order))
-        : order < 2 * n ? topology_->downlink(static_cast<NodeId>(order - n))
-                        : topology_->interior_link(static_cast<int32_t>(order - 2 * n));
-    if (params.bandwidth_bps != alloc_.capacity(link)) {
-      alloc_.SetCapacity(link, params.bandwidth_bps);
+    if (params != nullptr && params->bandwidth_bps != alloc_.capacity(link)) {
+      alloc_.SetCapacity(link, params->bandwidth_bps);
       changed = true;
     }
   }

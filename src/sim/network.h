@@ -516,6 +516,8 @@ class Network {
   // Copies every allocator link's topology capacity into the allocator;
   // returns true if any changed.
   bool SyncCapacities();
+  // Gives a topology link an allocator slot under canonical order `order`.
+  int32_t RegisterLink(int64_t order, const LinkParams& params);
   // Registers / removes direction `i` of `c` as an allocator flow (its
   // interior links take or release their slots with it).
   void TrackFlow(Conn& c, int i);
@@ -593,6 +595,12 @@ class Network {
   // Allocator slot of each topology interior link while a flow crosses it,
   // -1 otherwise.
   std::vector<int32_t> interior_link_id_;
+  // The topology link behind each live allocator slot, null for a free slot.
+  // Topology link storage never moves once routes are pinned, which happens
+  // before the first flow registers.
+  std::vector<const LinkParams*> slot_params_;
+  // Topology link_version() as of the last SyncCapacities scan.
+  uint64_t synced_link_version_ = UINT64_MAX;
   // Per-flow allocator link-slot assembly buffer (uplink, downlink, interior...).
   std::vector<int32_t> flow_link_scratch_;
 

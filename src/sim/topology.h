@@ -59,12 +59,15 @@ class Topology {
 
   int num_nodes() const { return num_nodes_; }
 
+  // Mutable access to a link may change it, so it advances link_version().
   LinkParams& uplink(NodeId n) {
     BULLET_CHECK(static_cast<uint32_t>(n) < static_cast<uint32_t>(num_nodes_));
+    ++link_version_;
     return uplinks_[static_cast<size_t>(n)];
   }
   LinkParams& downlink(NodeId n) {
     BULLET_CHECK(static_cast<uint32_t>(n) < static_cast<uint32_t>(num_nodes_));
+    ++link_version_;
     return downlinks_[static_cast<size_t>(n)];
   }
   const LinkParams& uplink(NodeId n) const {
@@ -94,8 +97,18 @@ class Topology {
   // Parameters of one interior link, addressed by the ids InteriorPath returns.
   virtual const LinkParams& interior_link(int32_t link_id) const = 0;
   LinkParams& interior_link(int32_t link_id) {
+    ++link_version_;
     return const_cast<LinkParams&>(static_cast<const Topology*>(this)->interior_link(link_id));
   }
+
+  // Advances on every mutable access to a link (uplink, downlink,
+  // interior_link, MeshTopology::core), the only ways to change one. A reader
+  // that finds the version it recorded knows no link changed since; it must
+  // read links through const access, or it advances the version itself. A
+  // writer writes through the reference it got before the next such read.
+  // Mutable access is single-threaded (the coordinator's, never a partition
+  // worker's).
+  uint64_t link_version() const { return link_version_; }
 
   // Exclusive upper bound on interior link ids (mesh: N^2; routed: edge count).
   // Sizes the network's per-epoch id-mapping tables.
@@ -130,6 +143,7 @@ class Topology {
   int num_nodes_;
   std::vector<LinkParams> uplinks_;
   std::vector<LinkParams> downlinks_;
+  uint64_t link_version_ = 0;
 };
 
 // The paper's ModelNet mesh: every ordered pair owns a private core link.
@@ -144,6 +158,7 @@ class MeshTopology final : public Topology {
   explicit MeshTopology(int num_nodes);
 
   LinkParams& core(NodeId src, NodeId dst) {
+    ++link_version_;
     return core_[CoreIndex(src, dst)];
   }
   const LinkParams& core(NodeId src, NodeId dst) const {

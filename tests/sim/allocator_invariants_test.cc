@@ -13,8 +13,8 @@
 //                        every epoch;
 //  5. sharded rounds   — Allocate(pool) on a real worker pool, over rows wide
 //                        enough to shard, repeats bitwise, stays feasible, and
-//                        matches Allocate() bitwise at power-of-two capacities;
-//                        without a wide row it matches Allocate() everywhere.
+//                        matches Allocate() and the reference bitwise, at any
+//                        capacities and whatever history ordered the rows.
 //
 // Run standalone with `ctest -L invariants`.
 
@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -496,6 +497,64 @@ TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
     }
     for (size_t l = 0; l < used.size(); ++l) {
       EXPECT_LE(used[l], epoch.capacity[l]) << "link " << l << " oversubscribed";
+    }
+  }
+}
+
+// Wide rows at inexact capacities: the sharded rounds must give the serial
+// bits and the reference's, however the table's history ordered the rows.
+TEST(AllocatorSharded, WideRowsAtInexactCapacitiesMatchReferenceInAnyHistory) {
+  WideEpoch epoch = MakeWideEpoch();
+  for (size_t l = 0; l < epoch.capacity.size(); ++l) {
+    epoch.capacity[l] *= 0.7 + 0.013 * static_cast<double>(l);
+  }
+  std::vector<PathFlowSpec> ref(epoch.links.size());
+  for (size_t f = 0; f < ref.size(); ++f) {
+    ref[f].links = epoch.links[f];
+    ref[f].cap_bps = epoch.cap[f];
+  }
+  AllocateMaxMinPaths(ref, epoch.capacity);
+
+  // Forward history: flows added in order. Shuffled history: flows added in
+  // a random order with decoys added and removed in between, so every row
+  // holds its flows in another order and the flow slots differ.
+  Rng rng(77);
+  for (const bool shuffled : {false, true}) {
+    for (const int threads : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message() << "shuffled " << shuffled << " threads " << threads);
+      IncrementalMaxMin alloc;
+      for (size_t l = 0; l < epoch.capacity.size(); ++l) {
+        alloc.AddLink(static_cast<int64_t>(l), epoch.capacity[l]);
+      }
+      std::vector<size_t> order(epoch.links.size());
+      for (size_t f = 0; f < order.size(); ++f) {
+        order[f] = f;
+      }
+      if (shuffled) {
+        for (size_t i = order.size(); i > 1; --i) {
+          std::swap(order[i - 1],
+                    order[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+        }
+      }
+      std::vector<int32_t> slot(order.size());
+      std::vector<int32_t> decoys;
+      for (const size_t f : order) {
+        if (shuffled && rng.UniformDouble(0.0, 1.0) < 0.3) {
+          decoys.push_back(alloc.AddFlow(epoch.links[f].data(), epoch.links[f].size(), 1e6));
+        }
+        slot[f] = alloc.AddFlow(epoch.links[f].data(), epoch.links[f].size(), epoch.cap[f]);
+      }
+      for (const int32_t d : decoys) {
+        alloc.RemoveFlow(d);
+      }
+      std::unique_ptr<WorkerPool> pool;
+      if (threads > 1) {
+        pool = std::make_unique<WorkerPool>(threads, nullptr);
+      }
+      alloc.Allocate(pool.get());
+      for (size_t f = 0; f < ref.size(); ++f) {
+        ASSERT_EQ(alloc.rate(slot[f]), ref[f].rate_bps) << "flow " << f;
+      }
     }
   }
 }
