@@ -503,29 +503,62 @@ TEST(AllocatorSharded, WideRowsRepeatAndMatchSerialBitwise) {
 
 // Wide rows at inexact capacities: the sharded rounds must give the serial
 // bits and the reference's, however the table's history ordered the rows.
-TEST(AllocatorSharded, WideRowsAtInexactCapacitiesMatchReferenceInAnyHistory) {
-  WideEpoch epoch = MakeWideEpoch();
-  for (size_t l = 0; l < epoch.capacity.size(); ++l) {
-    epoch.capacity[l] *= 0.7 + 0.013 * static_cast<double>(l);
+// Link 0 carries 600 flows and saturates first at an inexact share; each of
+// its flows also crosses one of links 1..3, which keep 50 flows of their own
+// whose rates come from what the wide round left on those links — so any
+// grouping of the round's subtractions other than the serial one shows.
+WideEpoch MakeInexactWideEpoch(Rng& rng) {
+  WideEpoch e;
+  e.capacity.push_back(600.0 * rng.UniformDouble(1e6, 2e6));
+  for (int k = 0; k < 3; ++k) {
+    e.capacity.push_back(250.0 * rng.UniformDouble(4e6, 8e6));
   }
-  std::vector<PathFlowSpec> ref(epoch.links.size());
-  for (size_t f = 0; f < ref.size(); ++f) {
-    ref[f].links = epoch.links[f];
-    ref[f].cap_bps = epoch.cap[f];
+  for (int32_t i = 0; i < 600; ++i) {
+    e.links.push_back({0, 1 + i % 3});
+    e.cap.push_back(kUnlimited);
   }
-  AllocateMaxMinPaths(ref, epoch.capacity);
+  for (int32_t j = 0; j < 150; ++j) {
+    e.links.push_back({1 + j % 3});
+    e.cap.push_back(kUnlimited);
+  }
+  return e;
+}
 
-  // Forward history: flows added in order. Shuffled history: flows added in
-  // a random order with decoys added and removed in between, so every row
-  // holds its flows in another order and the flow slots differ.
+// One table over `epoch`, its flows added in `order` with, when `decoys`, a
+// capped decoy added before some flows and all decoys removed afterwards —
+// so rows hold their flows in another order and flow slots differ. Returns
+// each epoch flow's slot.
+std::vector<int32_t> LoadInOrder(const WideEpoch& epoch, const std::vector<size_t>& order,
+                                 bool decoys, Rng& rng, IncrementalMaxMin* alloc) {
+  for (size_t l = 0; l < epoch.capacity.size(); ++l) {
+    alloc->AddLink(static_cast<int64_t>(l), epoch.capacity[l]);
+  }
+  std::vector<int32_t> slot(order.size());
+  std::vector<int32_t> added;
+  for (const size_t f : order) {
+    if (decoys && rng.Bernoulli(0.3)) {
+      added.push_back(alloc->AddFlow(epoch.links[f].data(), epoch.links[f].size(), 1e6));
+    }
+    slot[f] = alloc->AddFlow(epoch.links[f].data(), epoch.links[f].size(), epoch.cap[f]);
+  }
+  for (const int32_t d : added) {
+    alloc->RemoveFlow(d);
+  }
+  return slot;
+}
+
+TEST(AllocatorSharded, WideRowsAtInexactCapacitiesMatchReferenceInAnyHistory) {
   Rng rng(77);
-  for (const bool shuffled : {false, true}) {
-    for (const int threads : {1, 2, 3}) {
-      SCOPED_TRACE(testing::Message() << "shuffled " << shuffled << " threads " << threads);
-      IncrementalMaxMin alloc;
-      for (size_t l = 0; l < epoch.capacity.size(); ++l) {
-        alloc.AddLink(static_cast<int64_t>(l), epoch.capacity[l]);
-      }
+  for (int instance = 0; instance < 4; ++instance) {
+    const WideEpoch epoch = MakeInexactWideEpoch(rng);
+    std::vector<PathFlowSpec> ref(epoch.links.size());
+    for (size_t f = 0; f < ref.size(); ++f) {
+      ref[f].links = epoch.links[f];
+      ref[f].cap_bps = epoch.cap[f];
+    }
+    AllocateMaxMinPaths(ref, epoch.capacity);
+
+    for (const bool shuffled : {false, true}) {
       std::vector<size_t> order(epoch.links.size());
       for (size_t f = 0; f < order.size(); ++f) {
         order[f] = f;
@@ -536,24 +569,19 @@ TEST(AllocatorSharded, WideRowsAtInexactCapacitiesMatchReferenceInAnyHistory) {
                     order[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
         }
       }
-      std::vector<int32_t> slot(order.size());
-      std::vector<int32_t> decoys;
-      for (const size_t f : order) {
-        if (shuffled && rng.UniformDouble(0.0, 1.0) < 0.3) {
-          decoys.push_back(alloc.AddFlow(epoch.links[f].data(), epoch.links[f].size(), 1e6));
+      for (const int threads : {1, 2, 3}) {
+        SCOPED_TRACE(testing::Message() << "instance " << instance << " shuffled " << shuffled
+                                        << " threads " << threads);
+        IncrementalMaxMin alloc;
+        const std::vector<int32_t> slot = LoadInOrder(epoch, order, shuffled, rng, &alloc);
+        std::unique_ptr<WorkerPool> pool;
+        if (threads > 1) {
+          pool = std::make_unique<WorkerPool>(threads, nullptr);
         }
-        slot[f] = alloc.AddFlow(epoch.links[f].data(), epoch.links[f].size(), epoch.cap[f]);
-      }
-      for (const int32_t d : decoys) {
-        alloc.RemoveFlow(d);
-      }
-      std::unique_ptr<WorkerPool> pool;
-      if (threads > 1) {
-        pool = std::make_unique<WorkerPool>(threads, nullptr);
-      }
-      alloc.Allocate(pool.get());
-      for (size_t f = 0; f < ref.size(); ++f) {
-        ASSERT_EQ(alloc.rate(slot[f]), ref[f].rate_bps) << "flow " << f;
+        alloc.Allocate(pool.get());
+        for (size_t f = 0; f < ref.size(); ++f) {
+          ASSERT_EQ(alloc.rate(slot[f]), ref[f].rate_bps) << "flow " << f;
+        }
       }
     }
   }
